@@ -21,6 +21,8 @@ struct ServingMetrics {
       util::GlobalMetrics().histogram("serving.select_databases_ns");
   util::Histogram& build_ns =
       util::GlobalMetrics().histogram("serving.metasearcher_build_ns");
+  util::Histogram& shrunk_statistics_build_ns = util::GlobalMetrics().histogram(
+      "serving.shrunk_statistics_build_ns");
 };
 
 ServingMetrics& Metrics() {
@@ -77,21 +79,18 @@ Metasearcher::Metasearcher(const corpus::TopicHierarchy* hierarchy,
   hierarchical_ = std::make_unique<selection::HierarchicalSelector>(
       hierarchy_, summary_ptrs, classifications_);
 
-  // Serving-layer state: the samples and shrunk summaries are immutable
-  // for this snapshot's lifetime, so the corpus statistics are computed
-  // once (off the per-query hot path) and the posterior cache only
-  // invalidates by epoch under live refresh.
+  // Serving-layer state: the samples are immutable for this snapshot's
+  // lifetime, so the plain corpus statistics are computed once (off the
+  // per-query hot path) and the posterior cache only invalidates by epoch
+  // under live refresh.
   FEDSEARCH_CHECK(options_.summary_epochs.empty() ||
                   options_.summary_epochs.size() == samples_.size())
       << " summary_epochs covers " << options_.summary_epochs.size()
       << " databases, federation has " << samples_.size();
   std::vector<const summary::SummaryView*> plain_views;
-  std::vector<const summary::SummaryView*> shrunk_views;
   plain_views.reserve(samples_.size());
-  shrunk_views.reserve(samples_.size());
-  for (size_t i = 0; i < samples_.size(); ++i) {
-    plain_views.push_back(&samples_[i].summary);
-    shrunk_views.push_back(&shrinkage_->shrunk(i));
+  for (const sampling::SampleResult& s : samples_) {
+    plain_views.push_back(&s.summary);
   }
   if (options_.prior != nullptr) {
     // Incremental path (live refresh): delta-update the prior snapshot's
@@ -112,10 +111,6 @@ Metasearcher::Metasearcher(const corpus::TopicHierarchy* hierarchy,
   } else {
     plain_statistics_ = selection::ScoringStatisticsCache(plain_views);
   }
-  // Shrunk statistics always rebuild from scratch: shrinkage couples every
-  // database through the category aggregates, so one re-probed sample can
-  // perturb every shrunk summary and no per-database delta is sound.
-  shrunk_statistics_ = selection::ScoringStatisticsCache(shrunk_views);
   // The prior snapshot and change list are construction-time inputs only;
   // clearing them keeps options_ free of a pointer into a snapshot that
   // the refresh loop will drop.
@@ -336,7 +331,9 @@ Metasearcher::SelectionOutcome Metasearcher::SelectDatabases(
     selection::ScoringContext context;
     context.ranked_summaries = chosen;
     context.global_summary = &hierarchy_summaries_->root_aggregate();
-    FillContextForChosen(query, chosen, mode, context);
+    (mode == SummaryMode::kUniversalShrinkage ? ShrunkStatistics()
+                                              : plain_statistics_)
+        .FillContext(query, context, scoring_span.context());
     outcome.ranking =
         selection::RankDatabases(query, chosen, scorer, context, pool_.get());
   }
@@ -359,56 +356,24 @@ Metasearcher::SelectionOutcome Metasearcher::SelectDatabases(
   return outcome;
 }
 
-void Metasearcher::FillContextForChosen(
-    const selection::Query& query,
-    const std::vector<const summary::SummaryView*>& chosen, SummaryMode mode,
-    selection::ScoringContext& context) const {
-  const size_t n = chosen.size();
-  const bool universal = mode == SummaryMode::kUniversalShrinkage;
-  const selection::ScoringStatisticsCache& base =
-      universal ? shrunk_statistics_ : plain_statistics_;
-
-  // Databases whose chosen summary differs from the precomputed base set
-  // (adaptive shrinkage decisions and category fallbacks). Typically a
-  // small fraction of the federation.
-  std::vector<size_t> changed;
-  for (size_t i = 0; i < n; ++i) {
-    const summary::SummaryView* base_view =
-        universal ? static_cast<const summary::SummaryView*>(
-                        &shrinkage_->shrunk(i))
-                  : static_cast<const summary::SummaryView*>(
-                        &samples_[i].summary);
-    if (chosen[i] != base_view) changed.push_back(i);
-  }
-
-  if (changed.empty()) {
-    context.cached_mean_cw = base.mean_cw();
-  } else {
-    // Same ordered reduction as PrepareContextForQuery, over the actual
-    // chosen set.
-    double total_cw = 0.0;
-    for (const summary::SummaryView* s : chosen) total_cw += s->total_tokens();
-    context.cached_mean_cw =
-        n == 0 ? 1.0 : total_cw / static_cast<double>(n);
-    if (context.cached_mean_cw <= 0.0) context.cached_mean_cw = 1.0;
-  }
-
-  context.cached_cf.clear();
-  for (const std::string& w : query.terms) {
-    if (context.cached_cf.count(w)) continue;
-    long long cf = static_cast<long long>(base.CollectionFrequency(w));
-    for (size_t i : changed) {
-      const summary::SummaryView* base_view =
-          universal ? static_cast<const summary::SummaryView*>(
-                          &shrinkage_->shrunk(i))
-                    : static_cast<const summary::SummaryView*>(
-                          &samples_[i].summary);
-      if (chosen[i]->ContainsRounded(w)) ++cf;
-      if (base_view->ContainsRounded(w)) --cf;
+const selection::ScoringStatisticsCache& Metasearcher::ShrunkStatistics()
+    const {
+  util::MutexLock lock(shrunk_statistics_mu_);
+  if (shrunk_statistics_ == nullptr) {
+    // Shrinkage couples every database through the category aggregates,
+    // so one re-probed sample can perturb every shrunk summary: there is
+    // no per-database delta from a prior snapshot, only this full scan.
+    util::ScopedTimer build_timer(Metrics().shrunk_statistics_build_ns);
+    std::vector<const summary::SummaryView*> shrunk_views;
+    shrunk_views.reserve(samples_.size());
+    for (size_t i = 0; i < samples_.size(); ++i) {
+      shrunk_views.push_back(&shrinkage_->shrunk(i));
     }
-    context.cached_cf.emplace(w, cf > 0 ? static_cast<size_t>(cf) : 0);
+    shrunk_statistics_ =
+        std::make_unique<const selection::ScoringStatisticsCache>(
+            shrunk_views);
   }
-  context.has_cached_statistics = true;
+  return *shrunk_statistics_;
 }
 
 std::vector<selection::RankedDatabase> Metasearcher::SelectHierarchical(

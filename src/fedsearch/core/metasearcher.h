@@ -14,6 +14,7 @@
 #include "fedsearch/selection/hierarchical.h"
 #include "fedsearch/selection/scoring.h"
 #include "fedsearch/util/deadline.h"
+#include "fedsearch/util/mutex.h"
 #include "fedsearch/util/status.h"
 #include "fedsearch/util/thread_pool.h"
 #include "fedsearch/util/trace.h"
@@ -63,11 +64,8 @@ struct MetasearcherOptions {
   // (unique) indices whose samples differ from it. When `prior` is set,
   // plain statistics are produced via ScoringStatisticsCache::Rebuilt —
   // O(changed × vocabulary) instead of a full rescan — bit-identical to
-  // the scan. Shrunk statistics always rebuild from scratch: shrinkage
-  // couples every database through the category aggregates, so there is
-  // no sound per-database delta. Both fields are consumed during
-  // construction and cleared (the prior snapshot need not outlive this
-  // one).
+  // the scan. Both fields are consumed during construction and cleared
+  // (the prior snapshot need not outlive this one).
   const Metasearcher* prior = nullptr;
   std::vector<size_t> changed_databases;
 };
@@ -136,13 +134,12 @@ class Metasearcher {
   }
   // Materialized posterior grids across all databases.
   size_t posterior_cache_size() const { return posterior_cache_->size(); }
-  // Precomputed corpus statistics (cf(w) over the full vocabulary, mean
-  // collection word count) for the unshrunk / shrunk summary sets.
+  // Corpus statistics (cf(w) over the full vocabulary, mean collection
+  // word count) of the unshrunk summaries, built with the snapshot. Every
+  // SelectDatabases context is filled from it, except universal mode's,
+  // which is filled from the shrunk summaries' statistics.
   const selection::ScoringStatisticsCache& plain_statistics() const {
     return plain_statistics_;
-  }
-  const selection::ScoringStatisticsCache& shrunk_statistics() const {
-    return shrunk_statistics_;
   }
 
   struct SelectionOutcome {
@@ -169,9 +166,10 @@ class Metasearcher {
   //
   // Thread-safe: concurrent calls on one Metasearcher are supported. The
   // posterior cache shards its locks per database, the scoring statistics
-  // are immutable after construction, and the shared thread pool
-  // serializes concurrent ParallelFor loops internally; each call's result
-  // stays bit-identical to a serial run (pinned by
+  // are immutable once built (the shrunk set's under a mutex, by the
+  // first universal call), and the shared thread pool serializes
+  // concurrent ParallelFor loops internally; each call's result stays
+  // bit-identical to a serial run (pinned by
   // tests/stress/parallel_select_stress_test.cc).
   //
   // A non-null, non-infinite `deadline` bounds the call: the adaptive
@@ -204,16 +202,11 @@ class Metasearcher {
       size_t k) const;
 
  private:
-  // Fills the scoring context for the chosen summary set: mean cw by the
-  // same ordered reduction PrepareContextForQuery uses, cf(w) from the
-  // mode's precomputed statistics plus a per-term delta for the databases
-  // whose chosen summary differs from that base set (shrinkage applied or
-  // category fallback) — O(terms × changed databases) instead of
-  // O(terms × databases).
-  void FillContextForChosen(
-      const selection::Query& query,
-      const std::vector<const summary::SummaryView*>& chosen,
-      SummaryMode mode, selection::ScoringContext& context) const;
+  // Corpus statistics of the shrunk summaries, the base of every
+  // universal-mode fill. Only the universal ablation reads them, so they
+  // are scanned on its first call (timed in
+  // serving.shrunk_statistics_build_ns), not with the snapshot.
+  const selection::ScoringStatisticsCache& ShrunkStatistics() const;
 
   const corpus::TopicHierarchy* hierarchy_;
   std::vector<sampling::SampleResult> samples_;
@@ -226,7 +219,13 @@ class Metasearcher {
   std::unique_ptr<selection::HierarchicalSelector> hierarchical_;
   AdaptiveSummarySelector adaptive_;
   selection::ScoringStatisticsCache plain_statistics_;
-  selection::ScoringStatisticsCache shrunk_statistics_;
+  // Lock order: shrunk_statistics_mu_ is terminal — the build it guards
+  // reads only this snapshot's immutable summaries and takes no other lock.
+  mutable util::Mutex shrunk_statistics_mu_;
+  // Null until ShrunkStatistics() first builds it; never reset, and the
+  // cache it points to is immutable.
+  mutable std::unique_ptr<const selection::ScoringStatisticsCache>
+      shrunk_statistics_ FEDSEARCH_GUARDED_BY(shrunk_statistics_mu_);
   // Private by default; LiveMetasearcher passes one shared across
   // snapshots (options.shared_posterior_cache). Never null.
   std::shared_ptr<PosteriorCache> posterior_cache_;

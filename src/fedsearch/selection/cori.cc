@@ -2,34 +2,22 @@
 
 #include <cmath>
 
+#include "fedsearch/util/check.h"
+
 namespace fedsearch::selection {
 namespace {
 
 constexpr double kBeliefFloor = 0.4;
 
-double MeanCollectionWords(const ScoringContext& context) {
-  if (context.has_cached_statistics) return context.cached_mean_cw;
-  if (context.ranked_summaries.empty()) return 1.0;
-  double total = 0.0;
-  for (const summary::SummaryView* s : context.ranked_summaries) {
-    total += s->total_tokens();
-  }
-  const double mean =
-      total / static_cast<double>(context.ranked_summaries.size());
-  return mean > 0.0 ? mean : 1.0;
-}
-
+// The corpus statistics come from the context's fill
+// (ScoringStatisticsCache::FillContext); CORI never counts them itself.
 size_t CollectionFrequency(const std::string& word,
                            const ScoringContext& context) {
-  if (context.has_cached_statistics) {
-    auto it = context.cached_cf.find(word);
-    if (it != context.cached_cf.end()) return it->second;
-  }
-  size_t cf = 0;
-  for (const summary::SummaryView* s : context.ranked_summaries) {
-    if (s->ContainsRounded(word)) ++cf;
-  }
-  return cf;
+  auto it = context.cached_cf.find(word);
+  FEDSEARCH_CHECK(it != context.cached_cf.end())
+      << " CORI scored term \"" << word
+      << "\" from a context not filled for it";
+  return it->second;
 }
 
 // Belief of one term given a raw document frequency `df_raw` out of
@@ -70,7 +58,7 @@ double CoriScorer::Score(const Query& query, const summary::SummaryView& db,
   // is pinned by tests/selection/scorers_test.cc.
   const double num_docs = db.num_documents();
   const double cw = db.total_tokens();
-  const double mcw = MeanCollectionWords(context);
+  const double mcw = context.cached_mean_cw;
   const double m = RankedCount(context);
   double combined = 0.0;
   for (const std::string& w : query.terms) {
@@ -95,7 +83,7 @@ double CoriScorer::TermContribution(const Query& query, size_t term_index,
                                     const ScoringContext& context) const {
   const std::string& w = query.terms[term_index];
   return TermBelief(w, db.DocFrequency(w), db.num_documents(),
-                    db.total_tokens(), MeanCollectionWords(context),
+                    db.total_tokens(), context.cached_mean_cw,
                     RankedCount(context), context);
 }
 
@@ -105,7 +93,7 @@ double CoriScorer::TermContributionWithDf(const Query& query,
                                           const summary::SummaryView& db,
                                           const ScoringContext& context) const {
   return TermBelief(query.terms[term_index], df_override, db.num_documents(),
-                    db.total_tokens(), MeanCollectionWords(context),
+                    db.total_tokens(), context.cached_mean_cw,
                     RankedCount(context), context);
 }
 
@@ -117,7 +105,7 @@ void CoriScorer::TermContributionTable(const Query& query, size_t term_index,
   const std::string& w = query.terms[term_index];
   const double num_docs = db.num_documents();
   const double cw = db.total_tokens();
-  const double mcw = MeanCollectionWords(context);
+  const double mcw = context.cached_mean_cw;
   const double m = RankedCount(context);
   // The term-invariant pieces of TermBelief, hoisted out of the per-point
   // body. Each hoisted value is a self-contained sub-expression of

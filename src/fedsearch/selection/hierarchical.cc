@@ -106,6 +106,7 @@ std::vector<RankedDatabase> HierarchicalSelector::Select(
     context.ranked_summaries.push_back(s);
   }
   context.global_summary = &category_summaries_[0];
+  PrepareContextForQuery(query, context);
 
   std::vector<RankedDatabase> out;
   SelectUnder(query, hierarchy_->root(), k, scorer, context, out);

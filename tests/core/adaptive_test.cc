@@ -445,6 +445,7 @@ TEST(AdaptiveSelectorTest, DeltaPathBitIdenticalToFallbackPath) {
   selection::ScoringContext ctx;
   ctx.ranked_summaries = {&s.summary};
   const selection::Query query{{"present", "missing", "other"}};
+  selection::PrepareContextForQuery(query, ctx);
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     util::Rng rng_fast(seed);
     util::Rng rng_slow(seed);
@@ -474,6 +475,8 @@ TEST(AdaptiveSelectorTest, DuplicateTermsConsumeOneDrawPerDistinctWord) {
   selection::CoriScorer cori;
   selection::ScoringContext ctx;
   ctx.ranked_summaries = {&s.summary};
+  selection::PrepareContextForQuery(selection::Query{{"present", "missing"}},
+                                    ctx);
   util::Rng rng_dup(11);
   util::Rng rng_plain(11);
   const auto dup = selector.Evaluate(
@@ -497,6 +500,7 @@ TEST(AdaptiveSelectorTest, DuplicatedWordScoresAsItsSingleOccurrence) {
   selection::CoriScorer cori;
   selection::ScoringContext ctx;
   ctx.ranked_summaries = {&s.summary};
+  selection::PrepareContextForQuery(selection::Query{{"present"}}, ctx);
   util::Rng rng_dup(13);
   util::Rng rng_single(13);
   const auto dup = selector.Evaluate(selection::Query{{"present", "present"}},
@@ -515,6 +519,8 @@ TEST(AdaptiveSelectorTest, DuplicateTermsBuildOnePosteriorPerDistinctWord) {
   selection::CoriScorer cori;
   selection::ScoringContext ctx;
   ctx.ranked_summaries = {&s.summary};
+  selection::PrepareContextForQuery(selection::Query{{"present", "missing"}},
+                                    ctx);
   PosteriorCache cache(1);
   util::Rng rng(17);
   selector.Evaluate(selection::Query{{"present", "missing", "present"}}, s,

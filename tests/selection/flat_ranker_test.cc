@@ -48,6 +48,7 @@ TEST(FlatRankerTest, CoriOmitsAllMissTooDatabases) {
   std::vector<const summary::SummaryView*> dbs = {&has, &empty};
   ScoringContext ctx;
   ctx.ranked_summaries = dbs;
+  PrepareContextForQuery(Query{{"word"}}, ctx);
   CoriScorer cori;
   const auto ranking = RankDatabases(Query{{"word"}}, dbs, cori, ctx);
   ASSERT_EQ(ranking.size(), 1u);  // empty db scores exactly 0.4 = default

@@ -31,6 +31,10 @@ class ScorersTest : public ::testing::Test {
         global_(summary::ContentSummary::AggregateCategory({&health_, &cs_})) {
     context_.ranked_summaries = {&health_, &cs_};
     context_.global_summary = &global_;
+    // Every term the tests below score (CORI reads cf(w) from the fill).
+    PrepareContextForQuery(
+        Query{{"algorithm", "blood", "hypertension", "nonexistent"}},
+        context_);
   }
 
   summary::ContentSummary health_;
@@ -95,6 +99,7 @@ TEST_F(ScorersTest, CoriRoundedPresenceRule) {
   ScoringContext ctx;
   ctx.ranked_summaries = {&shrunk};
   const Query q{{"ghost"}};
+  PrepareContextForQuery(q, ctx);
   EXPECT_NEAR(cori.Score(q, shrunk, ctx), 0.4, 1e-12);  // treated as absent
 }
 

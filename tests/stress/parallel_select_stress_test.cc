@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -7,6 +8,7 @@
 #include "fedsearch/sampling/qbs_sampler.h"
 #include "fedsearch/selection/cori.h"
 #include "fedsearch/selection/lm.h"
+#include "fedsearch/util/metrics.h"
 #include "testing/small_testbed.h"
 
 // TSan-targeted stress coverage for the serving entry point: many threads
@@ -154,6 +156,64 @@ TEST_F(ParallelSelectStressTest, PooledSelectIsInternallyDeterministic) {
     });
   }
   for (std::thread& t : callers) t.join();
+}
+
+TEST_F(ParallelSelectStressTest, RacingFirstUniversalCallsBuildStatisticsOnce) {
+  // The shrunk summaries' corpus statistics are built by the first
+  // universal-mode call, not with the snapshot. Several threads make that
+  // first call on a fresh pooled snapshot at once: exactly one of them
+  // builds, and every outcome matches the serial reference.
+  const corpus::Testbed& bed = SharedSmallTestbed();
+  const util::Histogram& builds = util::GlobalMetrics().histogram(
+      "serving.shrunk_statistics_build_ns");
+  selection::CoriScorer cori;
+  selection::LmScorer lm;
+  const std::vector<const selection::ScoringFunction*> scorers = {&cori, &lm};
+  std::vector<selection::Query> queries;
+  for (const corpus::TestQuery& tq : bed.queries()) {
+    queries.push_back(selection::Query{bed.analyzer().Analyze(tq.text)});
+  }
+  std::vector<Metasearcher::SelectionOutcome> expected;
+  for (const selection::ScoringFunction* scorer : scorers) {
+    for (const selection::Query& q : queries) {
+      expected.push_back(reference_->SelectDatabases(
+          q, *scorer, SummaryMode::kUniversalShrinkage));
+    }
+  }
+
+  Federation fed = SampleFederation();
+  MetasearcherOptions pooled;
+  pooled.num_threads = 3;
+  const uint64_t builds_before = builds.count();
+  const Metasearcher fresh(&bed.hierarchy(), std::move(fed.samples),
+                           std::move(fed.classifications), pooled);
+  // Plain and adaptive serving never read the shrunk statistics.
+  for (const selection::Query& q : queries) {
+    (void)fresh.SelectDatabases(q, cori, SummaryMode::kPlain);
+    (void)fresh.SelectDatabases(q, cori, SummaryMode::kAdaptiveShrinkage);
+  }
+  EXPECT_EQ(builds.count(), builds_before);
+
+  constexpr size_t kCallers = 4;
+  std::atomic<size_t> waiting{kCallers};
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      // Release every caller at once so the first calls race.
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      for (size_t k = 0; k < expected.size(); ++k) {
+        const size_t at = (k + c * 3) % expected.size();
+        ExpectIdentical(
+            fresh.SelectDatabases(queries[at % queries.size()],
+                                  *scorers[at / queries.size()],
+                                  SummaryMode::kUniversalShrinkage),
+            expected[at]);
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(builds.count() - builds_before, 1u);
 }
 
 }  // namespace
