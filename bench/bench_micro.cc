@@ -121,22 +121,12 @@ void BM_ShrunkSummaryLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_ShrunkSummaryLookup);
 
-void BM_DocFrequencyPosteriorSample(benchmark::State& state) {
-  core::DocFrequencyPosterior posterior(/*sample_df=*/3, /*sample_size=*/300,
-                                        /*db_size=*/50000, /*gamma=*/-2.0,
-                                        /*grid_points=*/64);
-  util::Rng rng(9);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(posterior.Sample(rng));
-  }
-}
-BENCHMARK(BM_DocFrequencyPosteriorSample);
-
-// --- Adaptive fast-path kernels (DESIGN.md §6g) ---
+// --- Adaptive kernels (DESIGN.md §6g) ---
 // Three stages, benchmarked separately so a regression pinpoints itself:
 // the per-database basis build (once per shard), the per-word flat weight
 // grid built from a shared basis (once per (database, sample_df) cache
-// miss), and the Monte-Carlo delta evaluation itself (per query×database).
+// miss), and the decision itself — the exact score moments over freshly
+// built grids (per query×database).
 
 void BM_PosteriorBasisBuild(benchmark::State& state) {
   for (auto _ : state) {
@@ -158,10 +148,11 @@ void BM_PosteriorWeightsFromBasis(benchmark::State& state) {
 }
 BENCHMARK(BM_PosteriorWeightsFromBasis);
 
-void BM_AdaptiveDeltaEvaluateFixedDraws(benchmark::State& state) {
-  // One delta-path evaluation at a pinned draw count (no convergence
-  // early-exit): table build + 400 draws × |query| inverse-CDF samples +
-  // folds. Per-draw cost ≈ cpu_time / 400.
+void BM_AdaptiveDecision(benchmark::State& state) {
+  // One full decision as serving runs it: posteriors from a warm cache,
+  // one contribution table per distinct term, the exact score moments and
+  // the rule. The mixed-evidence gate is off so every iteration reaches
+  // the moments instead of returning at the gate.
   const core::Metasearcher& meta = MicroMetasearcher();
   const corpus::Testbed& bed = MicroTestbed();
   const selection::Query query{bed.analyzer().Analyze(bed.queries()[0].text)};
@@ -173,37 +164,13 @@ void BM_AdaptiveDeltaEvaluateFixedDraws(benchmark::State& state) {
   context.global_summary = &meta.global_summary();
   selection::PrepareContextForQuery(query, context);
   core::AdaptiveOptions options;
-  options.min_draws = 400;
-  options.max_draws = 400;
   options.require_mixed_evidence = false;
   core::AdaptiveSummarySelector selector(options);
   core::PosteriorCache cache(meta.num_databases());
-  uint64_t seed = 1;
+  util::Rng rng(1);  // unused by Evaluate
   for (auto _ : state) {
-    util::Rng rng(seed++);
     benchmark::DoNotOptimize(selector.Evaluate(query, meta.sample(0), cori,
                                                context, rng, &cache, 0));
-  }
-}
-BENCHMARK(BM_AdaptiveDeltaEvaluateFixedDraws);
-
-void BM_AdaptiveDecision(benchmark::State& state) {
-  const core::Metasearcher& meta = MicroMetasearcher();
-  const corpus::Testbed& bed = MicroTestbed();
-  const selection::Query query{bed.analyzer().Analyze(bed.queries()[0].text)};
-  selection::CoriScorer cori;
-  selection::ScoringContext context;
-  for (size_t i = 0; i < meta.num_databases(); ++i) {
-    context.ranked_summaries.push_back(&meta.plain_summary(i));
-  }
-  context.global_summary = &meta.global_summary();
-  selection::PrepareContextForQuery(query, context);
-  core::AdaptiveSummarySelector selector;
-  uint64_t seed = 1;
-  for (auto _ : state) {
-    util::Rng rng(seed++);
-    benchmark::DoNotOptimize(
-        selector.Evaluate(query, meta.sample(0), cori, context, rng));
   }
 }
 BENCHMARK(BM_AdaptiveDecision);

@@ -333,13 +333,13 @@ if selected perf-smoke; then
   run python3 tools/check_bench_regression.py \
     bench/baselines/BENCH_serving_throughput.json \
     build-ci/release/BENCH_serving_throughput.json
-  # Adaptive-kernel microbenchmarks (basis build, flat grid build, delta
-  # evaluation). Gated via their qps_op values with a looser threshold —
+  # Adaptive-kernel microbenchmarks (basis build, flat grid build, one
+  # full decision). Gated via their qps_op values with a looser threshold —
   # sub-microsecond kernels see more scheduler jitter than whole-query
   # scenarios. The committed baseline holds only the kernel scenarios, so
   # only those gate.
   run ./build-ci/release/bench/bench_micro --smoke \
-    --benchmark_filter='Posterior|AdaptiveDelta' \
+    --benchmark_filter='Posterior|AdaptiveDecision' \
     --json build-ci/release/BENCH_micro.json
   run python3 tools/check_bench_regression.py \
     bench/baselines/BENCH_micro.json build-ci/release/BENCH_micro.json \

@@ -2,7 +2,6 @@
 #define FEDSEARCH_CORE_ADAPTIVE_H_
 
 #include <algorithm>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -18,16 +17,12 @@
 
 namespace fedsearch::core {
 
-// Parameters of the score-uncertainty estimation of Section 4 / Appendix B.
+// Parameters of the score-uncertainty computation of Section 4 / Appendix B.
+// The paper estimates the mean and standard deviation of s(q, D) by
+// Monte-Carlo over (d1, ..., dn) combinations; the scorers fold independent
+// per-term contributions, so both moments are computed exactly instead —
+// the values such a Monte-Carlo converges to.
 struct AdaptiveOptions {
-  // Monte-Carlo draws over (d1, ..., dn) combinations. The paper observes
-  // that "usually, after examining just a few hundred random combinations,
-  // mean and variance converge to a stable value".
-  size_t min_draws = 100;
-  size_t max_draws = 400;
-  // Early stop when mean and stddev both move less than this relative
-  // amount between convergence checks.
-  double convergence_tolerance = 0.02;
   // Log-spaced grid resolution of each word's posterior p(d_k | s_k).
   size_t grid_points = 64;
 
@@ -64,7 +59,9 @@ double PowerLawGamma(double mandelbrot_alpha);
 // Content Summary Selection step (Figure 3). Token frequencies of
 // overridden words are scaled proportionally so LM-style scorers respond
 // to the perturbation too — both for point lookups and for ForEachWord
-// vocabulary iteration.
+// vocabulary iteration. The delta-scoring protocol (selection/scoring.h)
+// computes the same counterfactual per term without a view; this class is
+// the reference its contract is stated and tested against.
 class OverrideSummary : public summary::SummaryView {
  public:
   // Both referents must outlive this object.
@@ -126,8 +123,8 @@ class PosteriorGridBasis {
 // sample frequency (Appendix B):
 //   p(d | s) ∝ Binomial(s; |S|, d/|D|) · c·d^γ
 // with γ = 1/α − 1 from the database's Mandelbrot fit. Discretized on the
-// log-spaced grid of a PosteriorGridBasis; stores only the flat weight and
-// CDF arrays (the basis is shared across all of a database's posteriors).
+// log-spaced grid of a PosteriorGridBasis; stores only the flat weight
+// array (the basis is shared across all of a database's posteriors).
 // Exposed for testing.
 class DocFrequencyPosterior {
  public:
@@ -138,56 +135,18 @@ class DocFrequencyPosterior {
   DocFrequencyPosterior(std::shared_ptr<const PosteriorGridBasis> basis,
                         size_t sample_df, size_t sample_size);
 
-  // Draws one d value.
-  double Sample(util::Rng& rng) const {
-    return basis_->support()[SampleIndex(rng)];
-  }
-
-  // Draws a grid index by inverse-CDF lookup. Consumes exactly one
-  // rng.NextDouble() and returns exactly the index util::DiscreteSampler's
-  // lower_bound search would (first cdf >= x, end-clamped), so the serial
-  // RNG-draw stream and the drawn d sequence are unchanged from the
-  // sampler-based implementation — the guide table only skips ahead to a
-  // proven lower bound of that index, making the draw O(1) instead of a
-  // binary search. Defined here so the Monte-Carlo draw loop inlines it.
-  size_t SampleIndex(util::Rng& rng) const {
-    if (cdf_.empty()) return 0;
-    if (cdf_.back() <= 0.0) return 0;
-    const double x = rng.NextDouble();
-    // x < 1 (NextDouble is in [0, 1)), so the bucket index stays < kGuideBuckets.
-    size_t i = guide_[static_cast<size_t>(x * kGuideBuckets)];
-    const double* cdf = cdf_.data();
-    const size_t last = cdf_.size() - 1;
-    while (i < last && cdf[i] < x) ++i;
-    return i;
-  }
-
   size_t size() const { return weights_.size(); }
   const std::vector<double>& support() const { return basis_->support(); }
   const std::vector<double>& weights() const { return weights_; }
   const PosteriorGridBasis& basis() const { return *basis_; }
 
-  // Flat views of the draw machinery for callers that unroll SampleIndex
-  // into their own loop (AdaptiveSummarySelector's fast path): the
-  // normalized inclusive-prefix-sum CDF and the guide table.
-  const std::vector<double>& cdf() const { return cdf_; }
-  const std::vector<uint32_t>& guide() const { return guide_; }
-
-  // Guide-table resolution for SampleIndex: bucket b covers draws in
-  // [b/kGuideBuckets, (b+1)/kGuideBuckets) and guide_[b] holds the first
-  // index whose cdf is >= b/kGuideBuckets — a lower bound on the answer
-  // for every x in the bucket, so the forward scan is O(1) on average.
-  static constexpr size_t kGuideBuckets = 64;
-
  private:
   // The sample-frequency-dependent pass: log-likelihood over the basis
-  // grid, exp-normalization, and the inclusive prefix-sum CDF.
+  // grid and exp-normalization against its maximum.
   void BuildWeights(size_t sample_df, size_t sample_size);
 
   std::shared_ptr<const PosteriorGridBasis> basis_;
-  std::vector<double> weights_;   // exp(lw − max lw), in [0, 1]
-  std::vector<double> cdf_;       // normalized inclusive prefix sums
-  std::vector<uint32_t> guide_;   // kGuideBuckets scan starting points
+  std::vector<double> weights_;  // exp(lw − max lw), in [0, 1]
 };
 
 class PosteriorCache;
@@ -203,15 +162,21 @@ class AdaptiveSummarySelector {
   struct Uncertainty {
     double mean = 0.0;
     double stddev = 0.0;
-    size_t draws = 0;
     bool use_shrinkage = false;
   };
 
-  // Estimates the uncertainty of scorer's s(q, D) under the document
-  // frequency posterior and applies the paper's rule: use the shrunk
-  // summary iff stddev > mean. `sample` supplies s_k, |S|, |D̂| and the
+  // Computes the mean and standard deviation of scorer's s(q, D) under
+  // the document frequency posteriors and applies the paper's rule: use
+  // the shrunk summary iff stddev > mean (see AdaptiveOptions for the
+  // floor and threshold). `sample` supplies s_k, |S|, |D̂| and the
   // power-law exponent; `context` must be the context the real scoring
-  // will use.
+  // will use. The scorer must implement the delta-scoring protocol of
+  // selection/scoring.h (all paper scorers do); Evaluate aborts, naming
+  // it, otherwise.
+  //
+  // Both moments are exact weighted sums over each distinct term's
+  // posterior grid, so the result is deterministic: `rng` is unused, and
+  // no RNG is read or advanced.
   Uncertainty Evaluate(const selection::Query& query,
                        const sampling::SampleResult& sample,
                        const selection::ScoringFunction& scorer,
@@ -234,7 +199,7 @@ class AdaptiveSummarySelector {
   // A non-null `deadline` marks this evaluation as one unit of bounded
   // work: the call charges Costs::adaptive_evaluation_ms on entry — the
   // per-database evaluation boundary of the deadline contract — and, when
-  // that charge crosses the budget, skips the Monte-Carlo work entirely
+  // that charge crosses the budget, skips the posterior work entirely
   // (the enclosing request is aborting; its decision will never be used).
   // The charge is unconditional so consumed_ms() stays an exact replay of
   // the cost model regardless of gate outcomes.

@@ -192,7 +192,7 @@ Metasearcher::SelectionOutcome Metasearcher::SelectDatabases(
                                         select_span.context());
       PosteriorCache::Stats cache_before;
       if (adaptive_span.recording()) cache_before = posterior_cache_->stats();
-      // The uncertainty estimation scores against the unshrunk summaries'
+      // The uncertainty computation scores against the unshrunk summaries'
       // corpus statistics.
       selection::ScoringContext decision_context;
       decision_context.ranked_summaries.reserve(n);
@@ -204,15 +204,10 @@ Metasearcher::SelectionOutcome Metasearcher::SelectDatabases(
       plain_statistics_.FillContext(query, decision_context,
                                     adaptive_span.context());
 
-      // Every database gets its own deterministically-forked RNG stream,
-      // pre-forked in index order so the streams — and therefore the
-      // rankings — are identical for any thread count (and to the serial
-      // fork-inside-the-loop layout this replaces). Degraded databases
-      // still consume a fork to keep fault-free and faulty runs aligned.
-      util::Rng rng(options_.adaptive_seed);
-      std::vector<util::Rng> db_rngs;
-      db_rngs.reserve(n);
-      for (size_t i = 0; i < n; ++i) db_rngs.push_back(rng.Fork());
+      // The decision is exact and deterministic, so it is the same for any
+      // thread count. Evaluate never reads its Rng parameter; one
+      // placeholder serves every database.
+      util::Rng unused_rng(0);
 
       std::vector<uint8_t> applied(n, 0);
       const util::TraceContext adaptive_ctx = adaptive_span.context();
@@ -226,7 +221,7 @@ Metasearcher::SelectionOutcome Metasearcher::SelectDatabases(
         }
         const AdaptiveSummarySelector::Uncertainty u =
             adaptive_.Evaluate(query, samples_[i], scorer, decision_context,
-                               db_rngs[i], posterior_cache_.get(), i,
+                               unused_rng, posterior_cache_.get(), i,
                                summary_epoch(i), bounded ? deadline : nullptr,
                                adaptive_ctx);
         applied[i] = u.use_shrinkage ? 1 : 0;
@@ -240,9 +235,9 @@ Metasearcher::SelectionOutcome Metasearcher::SelectDatabases(
       if (bounded) {
         // Bounded requests evaluate serially on the calling thread: the
         // deadline charges then land in index order, making the expiry
-        // boundary a pure function of the cost model. Throughput under
-        // load comes from inter-query parallelism (broker workers), which
-        // scales where per-query fan-out measured ~1.0x (ROADMAP).
+        // boundary a pure function of the cost model. They give up the
+        // per-database fan-out that unbounded calls use below; under load,
+        // throughput comes from inter-query parallelism (broker workers).
         for (size_t i = 0; i < n; ++i) {
           if (deadline->expired()) break;
           evaluate_one(i);

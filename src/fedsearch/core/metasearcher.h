@@ -37,14 +37,16 @@ class Metasearcher;
 struct MetasearcherOptions {
   ShrinkageOptions shrinkage;
   AdaptiveOptions adaptive;
-  // Seed for the adaptive Monte-Carlo draws (forked per query/database).
+  // Unused: the adaptive decision is exact and draws nothing. Still read
+  // by callers that replay the selection pipeline outside Metasearcher.
   uint64_t adaptive_seed = 0xADA9715EULL;
   // Worker threads for SelectDatabases (the per-database fan-out of the
   // adaptive evaluation and the scoring). 0 = auto: the FEDSEARCH_THREADS
   // environment variable if set, else the hardware concurrency. Rankings
-  // are bit-identical for every thread count — each database's work runs
-  // on its own deterministically-forked RNG stream and reductions happen
-  // in index order on the calling thread.
+  // are bit-identical for every thread count — each database's decision
+  // is a deterministic function of its own inputs, workers write only
+  // their own slots, and reductions happen in index order on the calling
+  // thread.
   size_t num_threads = 0;
 
   // --- Live-refresh plumbing (set by LiveMetasearcher when it builds a
@@ -127,7 +129,7 @@ class Metasearcher {
                                            : options_.summary_epochs[i];
   }
   // Hit/miss/evict counters of the per-(database, sample_df) posterior
-  // cache the adaptive path draws from; serving-layer instrumentation.
+  // cache the adaptive path reads; serving-layer instrumentation.
   // Under a shared cache (live refresh) these aggregate across snapshots.
   PosteriorCache::Stats posterior_cache_stats() const {
     return posterior_cache_->stats();

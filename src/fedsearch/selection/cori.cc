@@ -24,7 +24,7 @@ size_t CollectionFrequency(const std::string& word,
 // `num_docs` documents. Replicates SummaryView::ProbDoc / ContainsRounded
 // arithmetic exactly (p = min(1, df/n) clamped at n <= 0, presence =
 // round(n·p) >= 1) so the value is bit-identical whether the df comes from
-// the summary itself or from a Monte-Carlo override.
+// the summary itself or from a posterior grid point.
 double TermBelief(const std::string& word, double df_raw, double num_docs,
                   double cw, double mcw, double m,
                   const ScoringContext& context) {

@@ -8,7 +8,7 @@ namespace {
 // λ·p̂(w|D) + (1−λ)·p̂(w|G) from a raw token frequency, replicating
 // SummaryView::ProbToken arithmetic exactly (min(1, tf/total) clamped at
 // total <= 0) so the factor is bit-identical whether tf comes from the
-// summary or from a scaled Monte-Carlo override.
+// summary or is scaled from a posterior grid point's df.
 double SmoothedFactor(const std::string& word, double tf_raw,
                       double total_tokens, double lambda,
                       const ScoringContext& context) {

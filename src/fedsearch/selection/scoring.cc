@@ -46,14 +46,6 @@ double ScoringFunction::FinalizeScore(const Query&, double combined) const {
   return combined;
 }
 
-DeltaScoreState ScoringFunction::PrepareScoreState(
-    const Query& query, const summary::SummaryView& db,
-    const ScoringContext& context) const {
-  FEDSEARCH_CHECK(supports_delta_scoring())
-      << " " << name() << " does not implement delta scoring";
-  return DeltaScoreState(*this, query, db, context);
-}
-
 namespace {
 
 // Mean total_tokens() over `summaries`, summed in index order: the one

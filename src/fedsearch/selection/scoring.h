@@ -114,8 +114,6 @@ enum class TermCombine {
   kProduct,  // score = FinalizeScore(init · Π contribution)  (LM, bGlOSS)
 };
 
-class DeltaScoreState;
-
 // A database selection algorithm: assigns s(q, D) from D's content summary
 // (Section 2.1). Implementations must be stateless so one instance can be
 // shared across threads and experiments.
@@ -141,12 +139,7 @@ class ScoringFunction {
       const Query& query, const summary::SummaryView& db,
       const ScoringContext& context) const = 0;
 
-  // True if the scorer treats query words independently (enables the
-  // factored uncertainty computation of Section 4). All three paper
-  // algorithms qualify.
-  virtual bool independent_terms() const { return true; }
-
-  // --- Delta-scoring protocol (the adaptive Monte-Carlo fast path) ---
+  // --- Delta-scoring protocol (the adaptive score moments) ---
   //
   // A scorer that treats query terms independently can expose its score as
   // a fold of per-term contributions:
@@ -155,28 +148,29 @@ class ScoringFunction {
   //   for i in terms: combined (+|·)= TermContribution(q, i, D, ctx)
   //   score = FinalizeScore(q, combined)
   //
-  // The adaptive selector (core/adaptive.cc) then re-scores the summary
-  // under a "word w_k appears in exactly d_k documents" counterfactual by
-  // recomputing only the perturbed terms via TermContributionWithDf — no
-  // per-draw summary view, no vocabulary indirection.
+  // The adaptive selector (core/adaptive.cc) needs the mean and standard
+  // deviation of the score when each word w_k's document frequency d_k is
+  // uncertain: Section 4's factored computation. It tabulates every
+  // distinct term's contribution over the posterior support of d_k
+  // (TermContributionTable) and takes both moments exactly from those
+  // rows. Every scorer passed to it must implement this protocol; it
+  // aborts otherwise.
   //
   // Contract for implementers (pinned by tests/selection/scorers_test.cc):
-  //  - Score(q, D, ctx) is BIT-IDENTICAL to the fold above, and
-  //  - TermContributionWithDf(q, i, D.DocFrequency(terms[i]) with the
-  //    override semantics of core::OverrideSummary, D, ctx) is
-  //    bit-identical to TermContribution(q, i, OverrideSummary, ctx).
-  // The adaptive selector relies on this to keep selection results
-  // independent of which path scored a draw.
+  //  - Score(q, D, ctx) is BIT-IDENTICAL to the fold above;
+  //  - TermContributionWithDf(q, i, d, D, ctx) is bit-identical to
+  //    TermContribution(q, i, OverrideSummary, ctx) with terms[i]'s
+  //    document frequency overridden to d (core::OverrideSummary);
+  //  - TermContributionTable is bit-identical to the per-point
+  //    TermContributionWithDf calls;
+  //  - FinalizeScore is affine in `combined` for a fixed query:
+  //    FinalizeScore(q, x) = FinalizeScore(q, 0) + a·x with
+  //    a = FinalizeScore(q, 1) − FinalizeScore(q, 0). The score's mean
+  //    maps through it and its standard deviation scales by |a|;
+  //  - kProduct contributions are non-negative (their moments are
+  //    combined across terms in log space).
   virtual bool supports_delta_scoring() const { return false; }
   virtual TermCombine term_combine() const { return TermCombine::kSum; }
-  // Captures the delta-scoring state for (query, db): the fold parameters
-  // and the base per-term contributions. The canonical way to start a
-  // Monte-Carlo run — constructing the state is the expensive part (one
-  // TermContribution per term), which is exactly why dropping the result
-  // must not compile. Requires supports_delta_scoring().
-  [[nodiscard]] DeltaScoreState PrepareScoreState(
-      const Query& query, const summary::SummaryView& db,
-      const ScoringContext& context) const;
   // Fold seed (0 for sums; 1 or a db-dependent factor for products). The
   // defaults below abort: they must be overridden together with
   // supports_delta_scoring().
@@ -205,73 +199,10 @@ class ScoringFunction {
                                      const ScoringContext& context,
                                      const double* dfs, size_t count,
                                      double* out) const;
+  // Maps the fold to the score; must be affine in `combined` (see the
+  // contract above). The default is the identity.
   [[nodiscard]] virtual double FinalizeScore(const Query& query,
                                              double combined) const;
-};
-
-// Per-(query, database) delta-scoring state: the fold parameters and the
-// base summary's per-term contributions, captured once. A Monte-Carlo draw
-// replaces the perturbed terms' contributions (ContributionAt) and refolds
-// (ScoreFromContributions) — O(|query|) arithmetic per draw.
-class DeltaScoreState {
- public:
-  // All referents must outlive this object; scorer.supports_delta_scoring()
-  // must be true.
-  DeltaScoreState(const ScoringFunction& scorer, const Query& query,
-                  const summary::SummaryView& db,
-                  const ScoringContext& context)
-      : scorer_(&scorer),
-        query_(&query),
-        db_(&db),
-        context_(&context),
-        combine_(scorer.term_combine()),
-        init_(scorer.CombineInit(query, db, context)) {
-    base_contributions_.reserve(query.terms.size());
-    for (size_t i = 0; i < query.terms.size(); ++i) {
-      base_contributions_.push_back(
-          scorer.TermContribution(query, i, db, context));
-    }
-  }
-
-  TermCombine combine() const { return combine_; }
-  double init() const { return init_; }
-  const std::vector<double>& base_contributions() const {
-    return base_contributions_;
-  }
-
-  // Contribution of terms[term_index] under an overridden document
-  // frequency.
-  double ContributionAt(size_t term_index, double df_override) const {
-    return scorer_->TermContributionWithDf(*query_, term_index, df_override,
-                                           *db_, *context_);
-  }
-
-  double Finalize(double combined) const {
-    return scorer_->FinalizeScore(*query_, combined);
-  }
-
-  // Folds `contributions` (one per query term, in term order) and
-  // finalizes — bit-identical to ScoringFunction::Score over a summary
-  // exhibiting those per-term values.
-  double ScoreFromContributions(const double* contributions,
-                                size_t count) const {
-    double combined = init_;
-    if (combine_ == TermCombine::kSum) {
-      for (size_t i = 0; i < count; ++i) combined += contributions[i];
-    } else {
-      for (size_t i = 0; i < count; ++i) combined *= contributions[i];
-    }
-    return scorer_->FinalizeScore(*query_, combined);
-  }
-
- private:
-  const ScoringFunction* scorer_;
-  const Query* query_;
-  const summary::SummaryView* db_;
-  const ScoringContext* context_;
-  TermCombine combine_;
-  double init_;
-  std::vector<double> base_contributions_;
 };
 
 }  // namespace fedsearch::selection

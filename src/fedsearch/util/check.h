@@ -16,8 +16,8 @@
 // FEDSEARCH_DCHECK compiles to nothing in optimized builds unless
 // FEDSEARCH_DCHECK_ALWAYS_ON is defined (the -DFEDSEARCH_DCHECK=ON cmake
 // build). It guards hot-path invariants (per-word probability bounds,
-// per-draw posterior samples) that are too expensive to verify in serving
-// builds but must hold by construction.
+// per-grid-point posterior weights) that are too expensive to verify in
+// serving builds but must hold by construction.
 //
 // The condition is evaluated exactly once; the streamed operands are
 // evaluated only on failure.

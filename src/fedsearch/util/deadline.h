@@ -28,7 +28,8 @@ class Deadline {
   // adaptive ~30ms per 100-database query, plain ~0.2ms). Brokers scale the
   // whole table by a per-request service inflation to model tail faults.
   struct Costs {
-    // One AdaptiveSummarySelector::Evaluate call (Monte-Carlo score draw).
+    // One AdaptiveSummarySelector::Evaluate call (score moments of one
+    // (query, database) pair).
     double adaptive_evaluation_ms = 0.3;
     // Scoring one database with an already-chosen summary (plain/CORI path).
     double score_ms = 0.002;

@@ -70,8 +70,8 @@ class Gauge {
 // accurate to one sub-bucket.
 //
 // Time series recorded here are nanoseconds by convention (metric names
-// end in _ns); dimensionless distributions (EM iterations, Monte-Carlo
-// draw counts, scaled ratios) record their natural integer value.
+// end in _ns); dimensionless distributions (EM iterations, scaled ratios)
+// record their natural integer value.
 class Histogram {
  public:
   static constexpr uint32_t kSubBits = 4;

@@ -17,9 +17,9 @@ class Rng {
  public:
   explicit Rng(uint64_t seed);
 
-  // Uniform 64-bit value (xoshiro256** step). Defined inline: hot
-  // Monte-Carlo loops draw millions of values and must not pay a call per
-  // draw.
+  // Uniform 64-bit value (xoshiro256** step). Defined inline: hot loops
+  // (corpus generation, sampling) draw millions of values and must not pay
+  // a call per draw.
   uint64_t NextUint64() {
     const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
     const uint64_t t = s_[1] << 17;

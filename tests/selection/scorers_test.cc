@@ -156,17 +156,11 @@ TEST_F(ScorersTest, LmWithoutGlobalSummary) {
   EXPECT_EQ(lm.DefaultScore(q, health_, ctx), 0.0);
 }
 
-TEST_F(ScorersTest, AllScorersDeclareIndependentTerms) {
-  EXPECT_TRUE(BglossScorer().independent_terms());
-  EXPECT_TRUE(CoriScorer().independent_terms());
-  EXPECT_TRUE(LmScorer().independent_terms());
-}
-
 // -------------------------------------------------------- delta protocol --
 //
-// The adaptive Monte-Carlo fast path (core/adaptive.cc) rests on three
-// bit-identity contracts declared in scoring.h; these tests pin them for
-// every paper scorer.
+// The adaptive score moments (core/adaptive.cc) rest on the contracts
+// declared in scoring.h — three bit identities and an affine
+// FinalizeScore; these tests pin them for every paper scorer.
 
 class DeltaProtocolTest : public ScorersTest {
  protected:
@@ -192,10 +186,35 @@ TEST_F(DeltaProtocolTest, FoldMatchesScoreBitwise) {
     ASSERT_TRUE(s->supports_delta_scoring()) << s->name();
     for (const Query& q : queries) {
       for (const summary::SummaryView* db : dbs) {
-        DeltaScoreState state(*s, q, *db, context_);
-        const double folded = state.ScoreFromContributions(
-            state.base_contributions().data(), q.terms.size());
+        double combined = s->CombineInit(q, *db, context_);
+        for (size_t i = 0; i < q.terms.size(); ++i) {
+          const double c = s->TermContribution(q, i, *db, context_);
+          combined = s->term_combine() == TermCombine::kSum ? combined + c
+                                                             : combined * c;
+        }
+        const double folded = s->FinalizeScore(q, combined);
         EXPECT_EQ(folded, s->Score(q, *db, context_)) << s->name();
+      }
+    }
+  }
+}
+
+TEST_F(DeltaProtocolTest, FinalizeScoreIsAffine) {
+  // The adaptive selector maps the mean of the combined score through
+  // FinalizeScore and scales its standard deviation by the slope
+  // FinalizeScore(q, 1) − FinalizeScore(q, 0); both are exact only for an
+  // affine FinalizeScore.
+  const Query queries[] = {Query{{"blood"}},
+                           Query{{"algorithm", "blood", "nonexistent"}},
+                           Query{}};
+  const double points[] = {-3.5, 0.0, 0.25, 1.0, 2.0, 17.0, 1e6};
+  for (const ScoringFunction* s : scorers_) {
+    for (const Query& q : queries) {
+      const double at_zero = s->FinalizeScore(q, 0.0);
+      const double slope = s->FinalizeScore(q, 1.0) - at_zero;
+      for (const double x : points) {
+        EXPECT_DOUBLE_EQ(s->FinalizeScore(q, x), at_zero + slope * x)
+            << s->name() << " |q| " << q.terms.size() << " x " << x;
       }
     }
   }
@@ -224,9 +243,10 @@ TEST_F(DeltaProtocolTest, ContributionTableMatchesPerPointBitwise) {
 
 TEST_F(DeltaProtocolTest, WithDfMatchesOverrideSummaryBitwise) {
   // TermContributionWithDf must equal TermContribution read through
-  // core::OverrideSummary — the fallback path's perturbed view — so both
-  // Monte-Carlo paths score a draw identically. "blood" exercises the
-  // seen-word token-scaling rule, "nonexistent" the unseen-word rule.
+  // core::OverrideSummary — the reference counterfactual view — so a grid
+  // point scores exactly as the summary with that df would. "blood"
+  // exercises the seen-word token-scaling rule, "nonexistent" the
+  // unseen-word rule.
   const Query q{{"blood", "nonexistent"}};
   const double df_points[] = {0.0, 0.4, 3.7, 420.0, 2000.0};
   for (const ScoringFunction* s : scorers_) {
