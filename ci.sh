@@ -40,6 +40,11 @@
 #                   tools/check_bench_regression.py (>15% qps drop or
 #                   >25% p95 growth fails the job), plus the adaptive-kernel
 #                   microbenchmarks gated at a jitter-tolerant 30%
+#   perfbench       repository benchmark (perfbench/, a CMake project of
+#                   its own that compiles src/ directly) built into
+#                   build-ci/perfbench and self-tested by
+#                   perfbench/selftest.py: every workload smoke-run
+#                   untraced and traced, plus its negative cases
 #
 # The tidy and tsa jobs need a clang toolchain. Without one they skip
 # with a notice by default; set FEDSEARCH_CI_STRICT=1 to make a missing
@@ -61,7 +66,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_JOBS="lint tidy tsa asan ubsan tsan release fuzz-regression smoke broker churn perf-smoke"
+ALL_JOBS="lint tidy tsa asan ubsan tsan release fuzz-regression smoke broker churn perf-smoke perfbench"
 SELECTED="$ALL_JOBS"
 JOBS="$(nproc)"
 CLEAN=0
@@ -344,6 +349,15 @@ if selected perf-smoke; then
   run python3 tools/check_bench_regression.py \
     bench/baselines/BENCH_micro.json build-ci/release/BENCH_micro.json \
     --max-qps-drop 0.30
+  end_job
+fi
+
+if selected perfbench; then
+  begin_job perfbench
+  # No tree above builds the benchmark: it compiles src/ through its own
+  # CMake project, so a change that deletes a public name it calls passes
+  # every other job and fails only here.
+  run env CARGO_TARGET_DIR=build-ci/perfbench python3 perfbench/selftest.py
   end_job
 fi
 

@@ -150,79 +150,6 @@ double PowerLawGamma(double mandelbrot_alpha) {
   return gamma;
 }
 
-OverrideSummary::OverrideSummary(
-    const summary::SummaryView* base,
-    const std::unordered_map<std::string, double>* df_override)
-    : base_(base), df_override_(df_override) {}
-
-double OverrideSummary::DocFrequency(const std::string& word) const {
-  auto it = df_override_->find(word);
-  if (it == df_override_->end()) return base_->DocFrequency(word);
-  FEDSEARCH_DCHECK(it->second >= 0.0 && std::isfinite(it->second))
-      << " df override " << it->second << " for " << word;
-  return it->second;
-}
-
-double OverrideSummary::TokenFrequency(const std::string& word) const {
-  auto it = df_override_->find(word);
-  if (it == df_override_->end()) return base_->TokenFrequency(word);
-  const double base_df = base_->DocFrequency(word);
-  if (base_df > 0.0) {
-    // Keep the average per-document term count of the word.
-    return it->second * base_->TokenFrequency(word) / base_df;
-  }
-  // Word unseen in the sample: assume one occurrence per containing doc.
-  return it->second;
-}
-
-void OverrideSummary::ForEachWord(
-    const std::function<void(const std::string&, const summary::WordStats&)>&
-        fn) const {
-  // The perturbation must be visible to vocabulary-iterating consumers
-  // too, not just to point lookups: overridden words are emitted with the
-  // overridden df and the proportionally-scaled ctf (the same values
-  // DocFrequency/TokenFrequency report), and overridden words absent from
-  // the base vocabulary are appended afterwards.
-  base_->ForEachWord(
-      [&](const std::string& word, const summary::WordStats& stats) {
-        auto it = df_override_->find(word);
-        if (it == df_override_->end()) {
-          fn(word, stats);
-          return;
-        }
-        summary::WordStats overridden;
-        overridden.df = it->second;
-        overridden.ctf = stats.df > 0.0
-                             ? it->second * stats.ctf / stats.df
-                             : it->second;
-        fn(word, overridden);
-      });
-  // ORDER-INDEPENDENT: the override map is private to one database's
-  // evaluation (its contents never depend on the thread schedule), and
-  // appended words only feed per-word accumulation downstream.
-  for (const auto& [word, df] : *df_override_) {
-    if (df <= 0.0 || base_->DocFrequency(word) > 0.0 ||
-        base_->TokenFrequency(word) > 0.0) {
-      continue;
-    }
-    // Word unseen in the sample: one occurrence per containing doc,
-    // matching TokenFrequency.
-    fn(word, summary::WordStats{df, df});
-  }
-}
-
-size_t OverrideSummary::vocabulary_size() const {
-  size_t extra = 0;
-  // ORDER-INDEPENDENT: pure count; no per-element output.
-  for (const auto& [word, df] : *df_override_) {
-    if (df > 0.0 && base_->DocFrequency(word) <= 0.0 &&
-        base_->TokenFrequency(word) <= 0.0) {
-      ++extra;
-    }
-  }
-  return base_->vocabulary_size() + extra;
-}
-
 PosteriorGridBasis::PosteriorGridBasis(double db_size, double gamma,
                                        size_t grid_points)
     : db_size_(std::max(1.0, db_size)),
@@ -352,10 +279,6 @@ AdaptiveSummarySelector::Uncertainty AdaptiveSummarySelector::Evaluate(
     const selection::ScoringContext& context, util::Rng& /*rng: unused*/,
     PosteriorCache* cache, size_t database_index, SummaryEpoch epoch,
     util::Deadline* deadline, const util::TraceContext& trace) const {
-  FEDSEARCH_CHECK(scorer.supports_delta_scoring())
-      << " " << scorer.name()
-      << " does not implement delta scoring; the adaptive selector computes"
-         " the score's moments from per-term contributions";
   Metrics().evaluations.Add();
   util::ScopedTimer evaluate_timer(Metrics().evaluate_ns);
   Uncertainty result;

@@ -3,8 +3,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "fedsearch/core/epoch.h"
@@ -53,34 +51,6 @@ struct AdaptiveOptions {
 // falls back to the pure-Zipf default α = −1 (γ = −2), the same default
 // used when no fit is available. Exposed for testing.
 double PowerLawGamma(double mandelbrot_alpha);
-
-// A summary view that overrides the document frequencies of a few words —
-// the "assume w_k appears in exactly d_k documents" counterfactual of the
-// Content Summary Selection step (Figure 3). Token frequencies of
-// overridden words are scaled proportionally so LM-style scorers respond
-// to the perturbation too — both for point lookups and for ForEachWord
-// vocabulary iteration. The delta-scoring protocol (selection/scoring.h)
-// computes the same counterfactual per term without a view; this class is
-// the reference its contract is stated and tested against.
-class OverrideSummary : public summary::SummaryView {
- public:
-  // Both referents must outlive this object.
-  OverrideSummary(const summary::SummaryView* base,
-                  const std::unordered_map<std::string, double>* df_override);
-
-  double num_documents() const override { return base_->num_documents(); }
-  double total_tokens() const override { return base_->total_tokens(); }
-  double DocFrequency(const std::string& word) const override;
-  double TokenFrequency(const std::string& word) const override;
-  void ForEachWord(
-      const std::function<void(const std::string&,
-                               const summary::WordStats&)>& fn) const override;
-  size_t vocabulary_size() const override;
-
- private:
-  const summary::SummaryView* base_;
-  const std::unordered_map<std::string, double>* df_override_;
-};
 
 // The per-database constants of the Appendix B posterior grid, shared by
 // every sample-frequency posterior of one database: the deduplicated
@@ -170,13 +140,12 @@ class AdaptiveSummarySelector {
   // the shrunk summary iff stddev > mean (see AdaptiveOptions for the
   // floor and threshold). `sample` supplies s_k, |S|, |D̂| and the
   // power-law exponent; `context` must be the context the real scoring
-  // will use. The scorer must implement the delta-scoring protocol of
-  // selection/scoring.h (all paper scorers do); Evaluate aborts, naming
-  // it, otherwise.
+  // will use.
   //
   // Both moments are exact weighted sums over each distinct term's
-  // posterior grid, so the result is deterministic: `rng` is unused, and
-  // no RNG is read or advanced.
+  // posterior grid, built from the scorer's per-term form
+  // (selection/scoring.h), so the result is deterministic: `rng` is
+  // unused, and no RNG is read or advanced.
   Uncertainty Evaluate(const selection::Query& query,
                        const sampling::SampleResult& sample,
                        const selection::ScoringFunction& scorer,

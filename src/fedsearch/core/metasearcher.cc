@@ -76,8 +76,18 @@ Metasearcher::Metasearcher(const corpus::TopicHierarchy* hierarchy,
   }
   shrinkage_ = std::make_unique<ShrinkageModel>(
       hierarchy_summaries_.get(), std::move(sample_sizes), options_.shrinkage);
+  std::vector<const summary::SummaryView*> plain_views(summary_ptrs.begin(),
+                                                       summary_ptrs.end());
+  // The hierarchical baseline ranks over the same category aggregates
+  // shrinkage mixes; this snapshot owns them.
+  std::vector<const summary::SummaryView*> category_views;
+  category_views.reserve(hierarchy_->size());
+  for (size_t c = 0; c < hierarchy_->size(); ++c) {
+    category_views.push_back(
+        &hierarchy_summaries_->aggregate(static_cast<corpus::CategoryId>(c)));
+  }
   hierarchical_ = std::make_unique<selection::HierarchicalSelector>(
-      hierarchy_, summary_ptrs, classifications_);
+      hierarchy_, plain_views, classifications_, std::move(category_views));
 
   // Serving-layer state: the samples are immutable for this snapshot's
   // lifetime, so the plain corpus statistics are computed once (off the
@@ -87,11 +97,6 @@ Metasearcher::Metasearcher(const corpus::TopicHierarchy* hierarchy,
                   options_.summary_epochs.size() == samples_.size())
       << " summary_epochs covers " << options_.summary_epochs.size()
       << " databases, federation has " << samples_.size();
-  std::vector<const summary::SummaryView*> plain_views;
-  plain_views.reserve(samples_.size());
-  for (const sampling::SampleResult& s : samples_) {
-    plain_views.push_back(&s.summary);
-  }
   if (options_.prior != nullptr) {
     // Incremental path (live refresh): delta-update the prior snapshot's
     // plain statistics for the re-probed databases only; bit-identical to

@@ -218,6 +218,7 @@ class Metasearcher {
   MetasearcherOptions options_;
   std::unique_ptr<HierarchySummaries> hierarchy_summaries_;
   std::unique_ptr<ShrinkageModel> shrinkage_;
+  // Ranks over hierarchy_summaries_'s category aggregates.
   std::unique_ptr<selection::HierarchicalSelector> hierarchical_;
   AdaptiveSummarySelector adaptive_;
   selection::ScoringStatisticsCache plain_statistics_;

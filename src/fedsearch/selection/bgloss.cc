@@ -5,8 +5,8 @@
 namespace fedsearch::selection {
 namespace {
 
-// p̂(w|D) from a raw document frequency, replicating SummaryView::ProbDoc
-// exactly (min(1, df/n) clamped at n <= 0).
+// The per-df kernel: p̂(w|D) from a raw document frequency, replicating
+// SummaryView::ProbDoc exactly (min(1, df/n) clamped at n <= 0).
 double ProbDocFromDf(double df_raw, double num_docs) {
   if (num_docs <= 0.0) return 0.0;
   return std::min(1.0, df_raw / num_docs);
@@ -16,11 +16,9 @@ double ProbDocFromDf(double df_raw, double num_docs) {
 
 double BglossScorer::Score(const Query& query, const summary::SummaryView& db,
                            const ScoringContext&) const {
-  // Same arithmetic as the delta-protocol fold (CombineInit = |D|, one
-  // ProbDocFromDf factor per term) with num_documents hoisted and no
-  // virtual dispatch, plus the early return (see bgloss.h: the shortcut is
-  // bit-equivalent to folding through). Bit-identity to the fold is pinned
-  // by tests/selection/scorers_test.cc.
+  // The per-term fold (seed |D|, identity finalization) over the summary's
+  // own dfs, plus the early return (see bgloss.h: the shortcut is
+  // bit-equivalent to folding through).
   const double num_docs = db.num_documents();
   double score = num_docs;
   for (const std::string& w : query.terms) {
@@ -40,27 +38,11 @@ double BglossScorer::CombineInit(const Query&, const summary::SummaryView& db,
   return db.num_documents();
 }
 
-double BglossScorer::TermContribution(const Query& query, size_t term_index,
-                                      const summary::SummaryView& db,
-                                      const ScoringContext&) const {
-  return ProbDocFromDf(db.DocFrequency(query.terms[term_index]),
-                       db.num_documents());
-}
-
-double BglossScorer::TermContributionWithDf(const Query&, size_t,
-                                            double df_override,
-                                            const summary::SummaryView& db,
-                                            const ScoringContext&) const {
-  return ProbDocFromDf(df_override, db.num_documents());
-}
-
 void BglossScorer::TermContributionTable(const Query&, size_t,
                                          const summary::SummaryView& db,
                                          const ScoringContext&,
                                          const double* dfs, size_t count,
                                          double* out) const {
-  // Only |D| to hoist; the override exists to skip the per-point virtual
-  // dispatch of the default loop.
   const double num_docs = db.num_documents();
   for (size_t g = 0; g < count; ++g) {
     out[g] = ProbDocFromDf(dfs[g], num_docs);

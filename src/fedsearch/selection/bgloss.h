@@ -17,21 +17,13 @@ class BglossScorer : public ScoringFunction {
   double DefaultScore(const Query& query, const summary::SummaryView& db,
                       const ScoringContext& context) const override;
 
-  // Delta protocol: score = |D| · Π per-term p̂(w|D). (Score's early
+  // Per-term form: score = |D| · Π per-term p̂(w|D). (Score's early
   // return on a zero product is a shortcut, not a semantic difference:
   // every later factor is in [0, 1], so the full fold reproduces the same
   // 0.0 bit-for-bit.)
-  bool supports_delta_scoring() const override { return true; }
   TermCombine term_combine() const override { return TermCombine::kProduct; }
   double CombineInit(const Query& query, const summary::SummaryView& db,
                      const ScoringContext& context) const override;
-  double TermContribution(const Query& query, size_t term_index,
-                          const summary::SummaryView& db,
-                          const ScoringContext& context) const override;
-  double TermContributionWithDf(const Query& query, size_t term_index,
-                                double df_override,
-                                const summary::SummaryView& db,
-                                const ScoringContext& context) const override;
   void TermContributionTable(const Query& query, size_t term_index,
                              const summary::SummaryView& db,
                              const ScoringContext& context, const double* dfs,

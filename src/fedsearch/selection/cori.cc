@@ -1,5 +1,6 @@
 #include "fedsearch/selection/cori.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "fedsearch/util/check.h"
@@ -20,50 +21,52 @@ size_t CollectionFrequency(const std::string& word,
   return it->second;
 }
 
-// Belief of one term given a raw document frequency `df_raw` out of
-// `num_docs` documents. Replicates SummaryView::ProbDoc / ContainsRounded
-// arithmetic exactly (p = min(1, df/n) clamped at n <= 0, presence =
-// round(n·p) >= 1) so the value is bit-identical whether the df comes from
-// the summary itself or from a posterior grid point.
-double TermBelief(const std::string& word, double df_raw, double num_docs,
-                  double cw, double mcw, double m,
-                  const ScoringContext& context) {
-  double belief = kBeliefFloor;
-  const double p =
-      num_docs <= 0.0 ? 0.0 : std::min(1.0, df_raw / num_docs);
-  if (std::lround(num_docs * p) >= 1) {
-    const double df = p * num_docs;
-    const double t = df / (df + 50.0 + 150.0 * cw / mcw);
-    const size_t cf = std::max<size_t>(1, CollectionFrequency(word, context));
-    const double i =
-        std::log((m + 0.5) / static_cast<double>(cf)) / std::log(m + 1.0);
-    belief += 0.6 * t * i;
-  }
-  return belief;
+// I = log((m + 0.5)/cf(w)) / log(m + 1.0): two logs and a cf lookup.
+double InverseFrequency(const std::string& word,
+                        const ScoringContext& context) {
+  const double m = static_cast<double>(
+      std::max<size_t>(1, context.ranked_summaries.size()));
+  const size_t cf = std::max<size_t>(1, CollectionFrequency(word, context));
+  return std::log((m + 0.5) / static_cast<double>(cf)) / std::log(m + 1.0);
 }
 
-double RankedCount(const ScoringContext& context) {
-  return static_cast<double>(
-      std::max<size_t>(1, context.ranked_summaries.size()));
+// 150 · cw(D)/mcw, the database's share of T's denominator.
+double CollectionWordsTerm(const summary::SummaryView& db,
+                           const ScoringContext& context) {
+  return 150.0 * db.total_tokens() / context.cached_mean_cw;
+}
+
+// The per-df kernel: belief of one term whose raw document frequency is
+// `df_raw` out of `num_docs` documents. `idf()` yields I; it runs only
+// when the word counts as present, so Score pays its logs and cf lookup
+// for present words alone. Replicates SummaryView::ProbDoc /
+// ContainsRounded arithmetic exactly (p = min(1, df/n) clamped at n <= 0,
+// presence = round(n·p) >= 1), so a grid point scores exactly as a summary
+// holding that df would.
+template <typename Idf>
+double Belief(double df_raw, double num_docs, double cw_term, Idf idf) {
+  double belief = kBeliefFloor;
+  const double p = num_docs <= 0.0 ? 0.0 : std::min(1.0, df_raw / num_docs);
+  if (std::lround(num_docs * p) >= 1) {
+    const double df = p * num_docs;
+    const double t = df / (df + 50.0 + cw_term);
+    belief += 0.6 * t * idf();
+  }
+  return belief;
 }
 
 }  // namespace
 
 double CoriScorer::Score(const Query& query, const summary::SummaryView& db,
                          const ScoringContext& context) const {
+  // The per-term fold (seed 0, divided by |q|) over the summary's own dfs.
   if (query.terms.empty()) return kBeliefFloor;
-  // Same arithmetic as the delta-protocol fold (CombineInit = 0, one
-  // TermBelief per term, FinalizeScore divide) with the per-database
-  // invariants hoisted and no virtual dispatch; bit-identity to the fold
-  // is pinned by tests/selection/scorers_test.cc.
   const double num_docs = db.num_documents();
-  const double cw = db.total_tokens();
-  const double mcw = context.cached_mean_cw;
-  const double m = RankedCount(context);
+  const double cw_term = CollectionWordsTerm(db, context);
   double combined = 0.0;
   for (const std::string& w : query.terms) {
-    combined += TermBelief(w, db.DocFrequency(w), num_docs, cw, mcw, m,
-                           context);
+    combined += Belief(db.DocFrequency(w), num_docs, cw_term,
+                       [&] { return InverseFrequency(w, context); });
   }
   return combined / static_cast<double>(query.terms.size());
 }
@@ -78,53 +81,16 @@ double CoriScorer::CombineInit(const Query&, const summary::SummaryView&,
   return 0.0;
 }
 
-double CoriScorer::TermContribution(const Query& query, size_t term_index,
-                                    const summary::SummaryView& db,
-                                    const ScoringContext& context) const {
-  const std::string& w = query.terms[term_index];
-  return TermBelief(w, db.DocFrequency(w), db.num_documents(),
-                    db.total_tokens(), context.cached_mean_cw,
-                    RankedCount(context), context);
-}
-
-double CoriScorer::TermContributionWithDf(const Query& query,
-                                          size_t term_index,
-                                          double df_override,
-                                          const summary::SummaryView& db,
-                                          const ScoringContext& context) const {
-  return TermBelief(query.terms[term_index], df_override, db.num_documents(),
-                    db.total_tokens(), context.cached_mean_cw,
-                    RankedCount(context), context);
-}
-
 void CoriScorer::TermContributionTable(const Query& query, size_t term_index,
                                        const summary::SummaryView& db,
                                        const ScoringContext& context,
                                        const double* dfs, size_t count,
                                        double* out) const {
-  const std::string& w = query.terms[term_index];
   const double num_docs = db.num_documents();
-  const double cw = db.total_tokens();
-  const double mcw = context.cached_mean_cw;
-  const double m = RankedCount(context);
-  // The term-invariant pieces of TermBelief, hoisted out of the per-point
-  // body. Each hoisted value is a self-contained sub-expression of
-  // TermBelief (same association), so out[g] stays bit-identical to the
-  // per-point TermContributionWithDf call.
-  const double cw_term = 150.0 * cw / mcw;
-  const size_t cf = std::max<size_t>(1, CollectionFrequency(w, context));
-  const double i =
-      std::log((m + 0.5) / static_cast<double>(cf)) / std::log(m + 1.0);
+  const double cw_term = CollectionWordsTerm(db, context);
+  const double idf = InverseFrequency(query.terms[term_index], context);
   for (size_t g = 0; g < count; ++g) {
-    double belief = kBeliefFloor;
-    const double p =
-        num_docs <= 0.0 ? 0.0 : std::min(1.0, dfs[g] / num_docs);
-    if (std::lround(num_docs * p) >= 1) {
-      const double df = p * num_docs;
-      const double t = df / (df + 50.0 + cw_term);
-      belief += 0.6 * t * i;
-    }
-    out[g] = belief;
+    out[g] = Belief(dfs[g], num_docs, cw_term, [idf] { return idf; });
   }
 }
 

@@ -4,43 +4,35 @@
 #include <utility>
 
 #include "fedsearch/selection/flat_ranker.h"
+#include "fedsearch/util/check.h"
 
 namespace fedsearch::selection {
 
 HierarchicalSelector::HierarchicalSelector(
     const corpus::TopicHierarchy* hierarchy,
-    std::vector<const summary::ContentSummary*> summaries,
-    std::vector<corpus::CategoryId> classifications)
+    std::vector<const summary::SummaryView*> summaries,
+    const std::vector<corpus::CategoryId>& classifications,
+    std::vector<const summary::SummaryView*> category_summaries)
     : hierarchy_(hierarchy),
       summaries_(std::move(summaries)),
-      classifications_(std::move(classifications)) {
+      category_summaries_(std::move(category_summaries)) {
   const size_t nodes = hierarchy_->size();
+  FEDSEARCH_CHECK(category_summaries_.size() == nodes)
+      << " " << category_summaries_.size() << " category summaries for "
+      << nodes << " categories";
   databases_at_.resize(nodes);
   subtree_database_count_.assign(nodes, 0);
-  for (size_t i = 0; i < classifications_.size(); ++i) {
-    databases_at_[static_cast<size_t>(classifications_[i])].push_back(i);
+  for (size_t i = 0; i < classifications.size(); ++i) {
+    databases_at_[static_cast<size_t>(classifications[i])].push_back(i);
   }
-  category_summaries_.resize(nodes);
-  // Nodes are created parents-first, so a reverse scan aggregates leaves
+  // Nodes are created parents-first, so a reverse scan counts leaves
   // before their parents.
   for (size_t n = nodes; n-- > 0;) {
-    std::vector<const summary::ContentSummary*> parts;
-    for (size_t db : databases_at_[n]) parts.push_back(summaries_[db]);
-    // Children aggregates are already built; merge them in by value.
-    summary::ContentSummary agg = summary::ContentSummary::AggregateCategory(parts);
     size_t count = databases_at_[n].size();
     for (corpus::CategoryId c :
          hierarchy_->node(static_cast<corpus::CategoryId>(n)).children) {
-      const summary::ContentSummary& child =
-          category_summaries_[static_cast<size_t>(c)];
-      child.ForEachWord(
-          [&](const std::string& w, const summary::WordStats& stats) {
-            agg.AddWord(w, stats);
-          });
-      agg.set_num_documents(agg.num_documents() + child.num_documents());
       count += subtree_database_count_[static_cast<size_t>(c)];
     }
-    category_summaries_[n] = std::move(agg);
     subtree_database_count_[n] = count;
   }
 }
@@ -63,8 +55,8 @@ void HierarchicalSelector::SelectUnder(const Query& query,
   std::vector<Unit> units;
   for (corpus::CategoryId c : children) {
     if (subtree_database_count_[static_cast<size_t>(c)] == 0) continue;
-    const summary::ContentSummary& cs =
-        category_summaries_[static_cast<size_t>(c)];
+    const summary::SummaryView& cs =
+        *category_summaries_[static_cast<size_t>(c)];
     const double score = scorer.Score(query, cs, context);
     const double fallback = scorer.DefaultScore(query, cs, context);
     if (score <= fallback * (1.0 + 1e-12)) continue;
@@ -101,11 +93,8 @@ std::vector<RankedDatabase> HierarchicalSelector::Select(
   // Context for base scoring within the hierarchy: category and database
   // summaries compete locally; corpus statistics use all database summaries.
   ScoringContext context;
-  context.ranked_summaries.reserve(summaries_.size());
-  for (const summary::ContentSummary* s : summaries_) {
-    context.ranked_summaries.push_back(s);
-  }
-  context.global_summary = &category_summaries_[0];
+  context.ranked_summaries = summaries_;
+  context.global_summary = category_summaries_[0];
   PrepareContextForQuery(query, context);
 
   std::vector<RankedDatabase> out;

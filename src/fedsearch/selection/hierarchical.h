@@ -1,7 +1,6 @@
 #ifndef FEDSEARCH_SELECTION_HIERARCHICAL_H_
 #define FEDSEARCH_SELECTION_HIERARCHICAL_H_
 
-#include <memory>
 #include <vector>
 
 #include "fedsearch/corpus/topic_hierarchy.h"
@@ -24,12 +23,15 @@ namespace fedsearch::selection {
 class HierarchicalSelector {
  public:
   // `hierarchy` must outlive the selector. `summaries[i]` is database i's
-  // (unshrunk) content summary and `classifications[i]` its category. The
-  // summaries must outlive the selector; category summaries are aggregated
-  // at construction.
-  HierarchicalSelector(const corpus::TopicHierarchy* hierarchy,
-                       std::vector<const summary::ContentSummary*> summaries,
-                       std::vector<corpus::CategoryId> classifications);
+  // (unshrunk) content summary and `classifications[i]` its category;
+  // `category_summaries[c]` is category c's aggregate over its whole
+  // subtree (Definition 3; core::HierarchySummaries::aggregate(c) builds
+  // them). All summaries must outlive the selector.
+  HierarchicalSelector(
+      const corpus::TopicHierarchy* hierarchy,
+      std::vector<const summary::SummaryView*> summaries,
+      const std::vector<corpus::CategoryId>& classifications,
+      std::vector<const summary::SummaryView*> category_summaries);
 
   // Returns up to k databases for the query, most promising first.
   std::vector<RankedDatabase> Select(const Query& query, size_t k,
@@ -43,10 +45,9 @@ class HierarchicalSelector {
                    std::vector<RankedDatabase>& out) const;
 
   const corpus::TopicHierarchy* hierarchy_;
-  std::vector<const summary::ContentSummary*> summaries_;
-  std::vector<corpus::CategoryId> classifications_;
+  std::vector<const summary::SummaryView*> summaries_;
   // Aggregated category summary per node (over the node's whole subtree).
-  std::vector<summary::ContentSummary> category_summaries_;
+  std::vector<const summary::SummaryView*> category_summaries_;
   // Databases classified exactly at each node.
   std::vector<std::vector<size_t>> databases_at_;
   // Number of databases in each node's subtree.

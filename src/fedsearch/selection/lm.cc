@@ -5,33 +5,39 @@
 namespace fedsearch::selection {
 namespace {
 
-// λ·p̂(w|D) + (1−λ)·p̂(w|G) from a raw token frequency, replicating
-// SummaryView::ProbToken arithmetic exactly (min(1, tf/total) clamped at
-// total <= 0) so the factor is bit-identical whether tf comes from the
-// summary or is scaled from a posterior grid point's df.
-double SmoothedFactor(const std::string& word, double tf_raw,
-                      double total_tokens, double lambda,
-                      const ScoringContext& context) {
+// (1 − λ)·p̂(w|G): the global-smoothing part of a term's factor, and all
+// of it that survives in a database without the word.
+double Smoothing(const std::string& word, double lambda,
+                 const ScoringContext& context) {
   const double global = context.global_summary != nullptr
                             ? context.global_summary->ProbToken(word)
                             : 0.0;
+  return (1.0 - lambda) * global;
+}
+
+// The per-df kernel, taking the token frequency its df implies:
+// λ·p̂(w|D) + (1 − λ)·p̂(w|G) from a raw token frequency, replicating
+// SummaryView::ProbToken arithmetic exactly (min(1, tf/total) clamped at
+// total <= 0), so a grid point scores exactly as a summary holding that
+// frequency would.
+double Factor(double tf_raw, double total_tokens, double lambda,
+              double smoothing) {
   const double p =
       total_tokens <= 0.0 ? 0.0 : std::min(1.0, tf_raw / total_tokens);
-  return lambda * p + (1.0 - lambda) * global;
+  return lambda * p + smoothing;
 }
 
 }  // namespace
 
 double LmScorer::Score(const Query& query, const summary::SummaryView& db,
                        const ScoringContext& context) const {
-  // Same arithmetic as the delta-protocol fold (CombineInit = 1, one
-  // SmoothedFactor per term) with total_tokens hoisted and no virtual
-  // dispatch; bit-identity to the fold is pinned by
-  // tests/selection/scorers_test.cc.
+  // The per-term fold (seed 1, identity finalization) over the summary's
+  // own token frequencies.
   const double total = db.total_tokens();
   double score = 1.0;
   for (const std::string& w : query.terms) {
-    score *= SmoothedFactor(w, db.TokenFrequency(w), total, lambda_, context);
+    score *= Factor(db.TokenFrequency(w), total, lambda_,
+                    Smoothing(w, lambda_, context));
   }
   return score;
 }
@@ -42,10 +48,7 @@ double LmScorer::DefaultScore(const Query& query, const summary::SummaryView&,
   // only the global smoothing component survives.
   double score = 1.0;
   for (const std::string& w : query.terms) {
-    const double global = context.global_summary != nullptr
-                              ? context.global_summary->ProbToken(w)
-                              : 0.0;
-    score *= (1.0 - lambda_) * global;
+    score *= Smoothing(w, lambda_, context);
   }
   return score;
 }
@@ -53,30 +56,6 @@ double LmScorer::DefaultScore(const Query& query, const summary::SummaryView&,
 double LmScorer::CombineInit(const Query&, const summary::SummaryView&,
                              const ScoringContext&) const {
   return 1.0;
-}
-
-double LmScorer::TermContribution(const Query& query, size_t term_index,
-                                  const summary::SummaryView& db,
-                                  const ScoringContext& context) const {
-  const std::string& w = query.terms[term_index];
-  return SmoothedFactor(w, db.TokenFrequency(w), db.total_tokens(), lambda_,
-                        context);
-}
-
-double LmScorer::TermContributionWithDf(const Query& query, size_t term_index,
-                                        double df_override,
-                                        const summary::SummaryView& db,
-                                        const ScoringContext& context) const {
-  const std::string& w = query.terms[term_index];
-  // Token frequency under the df override, with core::OverrideSummary's
-  // scaling rule (same expression, same association): keep the average
-  // per-document term count when the word was seen in the sample, else
-  // assume one occurrence per containing document.
-  const double base_df = db.DocFrequency(w);
-  const double tf = base_df > 0.0
-                        ? df_override * db.TokenFrequency(w) / base_df
-                        : df_override;
-  return SmoothedFactor(w, tf, db.total_tokens(), lambda_, context);
 }
 
 void LmScorer::TermContributionTable(const Query& query, size_t term_index,
@@ -88,18 +67,13 @@ void LmScorer::TermContributionTable(const Query& query, size_t term_index,
   const double total = db.total_tokens();
   const double base_df = db.DocFrequency(w);
   const double base_tf = db.TokenFrequency(w);
-  // Term-invariant pieces of SmoothedFactor, hoisted: (1−λ)·global is a
-  // self-contained sub-expression, so out[g] stays bit-identical to the
-  // per-point TermContributionWithDf call.
-  const double global = context.global_summary != nullptr
-                            ? context.global_summary->ProbToken(w)
-                            : 0.0;
-  const double smoothing = (1.0 - lambda_) * global;
+  const double smoothing = Smoothing(w, lambda_, context);
   for (size_t g = 0; g < count; ++g) {
-    const double tf =
-        base_df > 0.0 ? dfs[g] * base_tf / base_df : dfs[g];
-    const double p = total <= 0.0 ? 0.0 : std::min(1.0, tf / total);
-    out[g] = lambda_ * p + smoothing;
+    // Token frequency at the grid df: a word seen in the sample keeps its
+    // average per-document count, an unseen word gets one occurrence per
+    // containing document.
+    const double tf = base_df > 0.0 ? dfs[g] * base_tf / base_df : dfs[g];
+    out[g] = Factor(tf, total, lambda_, smoothing);
   }
 }
 

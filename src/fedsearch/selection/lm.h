@@ -20,18 +20,10 @@ class LmScorer : public ScoringFunction {
   double DefaultScore(const Query& query, const summary::SummaryView& db,
                       const ScoringContext& context) const override;
 
-  // Delta protocol: score = Π per-term smoothed probabilities.
-  bool supports_delta_scoring() const override { return true; }
+  // Per-term form: score = Π per-term smoothed probabilities.
   TermCombine term_combine() const override { return TermCombine::kProduct; }
   double CombineInit(const Query& query, const summary::SummaryView& db,
                      const ScoringContext& context) const override;
-  double TermContribution(const Query& query, size_t term_index,
-                          const summary::SummaryView& db,
-                          const ScoringContext& context) const override;
-  double TermContributionWithDf(const Query& query, size_t term_index,
-                                double df_override,
-                                const summary::SummaryView& db,
-                                const ScoringContext& context) const override;
   void TermContributionTable(const Query& query, size_t term_index,
                              const summary::SummaryView& db,
                              const ScoringContext& context, const double* dfs,

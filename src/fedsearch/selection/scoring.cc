@@ -5,43 +5,6 @@
 
 namespace fedsearch::selection {
 
-// The delta-protocol defaults abort rather than return a silently-wrong
-// value: callers must check supports_delta_scoring() first, and a scorer
-// that opts in must override the whole protocol.
-double ScoringFunction::CombineInit(const Query&, const summary::SummaryView&,
-                                    const ScoringContext&) const {
-  FEDSEARCH_CHECK(false) << " " << name()
-                         << " does not implement delta scoring";
-  return 0.0;
-}
-
-double ScoringFunction::TermContribution(const Query&, size_t,
-                                         const summary::SummaryView&,
-                                         const ScoringContext&) const {
-  FEDSEARCH_CHECK(false) << " " << name()
-                         << " does not implement delta scoring";
-  return 0.0;
-}
-
-double ScoringFunction::TermContributionWithDf(const Query&, size_t, double,
-                                               const summary::SummaryView&,
-                                               const ScoringContext&) const {
-  FEDSEARCH_CHECK(false) << " " << name()
-                         << " does not implement delta scoring";
-  return 0.0;
-}
-
-void ScoringFunction::TermContributionTable(const Query& query,
-                                            size_t term_index,
-                                            const summary::SummaryView& db,
-                                            const ScoringContext& context,
-                                            const double* dfs, size_t count,
-                                            double* out) const {
-  for (size_t g = 0; g < count; ++g) {
-    out[g] = TermContributionWithDf(query, term_index, dfs[g], db, context);
-  }
-}
-
 double ScoringFunction::FinalizeScore(const Query&, double combined) const {
   return combined;
 }

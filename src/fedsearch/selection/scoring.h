@@ -107,8 +107,8 @@ class ScoringStatisticsCache {
   std::vector<const summary::SummaryView*> summaries_;
 };
 
-// How a delta-capable scorer's per-term contributions combine into one
-// query score (before FinalizeScore).
+// How a scorer's per-term contributions combine into one query score
+// (before FinalizeScore).
 enum class TermCombine {
   kSum,      // score = FinalizeScore(init + Σ contribution)  (CORI)
   kProduct,  // score = FinalizeScore(init · Π contribution)  (LM, bGlOSS)
@@ -139,13 +139,14 @@ class ScoringFunction {
       const Query& query, const summary::SummaryView& db,
       const ScoringContext& context) const = 0;
 
-  // --- Delta-scoring protocol (the adaptive score moments) ---
+  // --- Per-term form (the adaptive score moments) ---
   //
-  // A scorer that treats query terms independently can expose its score as
-  // a fold of per-term contributions:
+  // Every scorer treats query terms independently, so its score is a fold
+  // of per-term contributions, each a function of the term's document
+  // frequency d in `db`:
   //
   //   combined = CombineInit(q, D, ctx)
-  //   for i in terms: combined (+|·)= TermContribution(q, i, D, ctx)
+  //   for i in terms: combined (+|·)= contribution of terms[i] at its df
   //   score = FinalizeScore(q, combined)
   //
   // The adaptive selector (core/adaptive.cc) needs the mean and standard
@@ -153,52 +154,31 @@ class ScoringFunction {
   // uncertain: Section 4's factored computation. It tabulates every
   // distinct term's contribution over the posterior support of d_k
   // (TermContributionTable) and takes both moments exactly from those
-  // rows. Every scorer passed to it must implement this protocol; it
-  // aborts otherwise.
+  // rows.
   //
   // Contract for implementers (pinned by tests/selection/scorers_test.cc):
-  //  - Score(q, D, ctx) is BIT-IDENTICAL to the fold above;
-  //  - TermContributionWithDf(q, i, d, D, ctx) is bit-identical to
-  //    TermContribution(q, i, OverrideSummary, ctx) with terms[i]'s
-  //    document frequency overridden to d (core::OverrideSummary);
-  //  - TermContributionTable is bit-identical to the per-point
-  //    TermContributionWithDf calls;
+  //  - folding TermContributionTable values, one df per distinct term,
+  //    is BIT-IDENTICAL to Score over `db` with those document
+  //    frequencies (token frequencies scaled proportionally: a seen word
+  //    keeps its tf/df ratio, an unseen word gets tf = df);
   //  - FinalizeScore is affine in `combined` for a fixed query:
   //    FinalizeScore(q, x) = FinalizeScore(q, 0) + a·x with
   //    a = FinalizeScore(q, 1) − FinalizeScore(q, 0). The score's mean
   //    maps through it and its standard deviation scales by |a|;
   //  - kProduct contributions are non-negative (their moments are
   //    combined across terms in log space).
-  virtual bool supports_delta_scoring() const { return false; }
-  virtual TermCombine term_combine() const { return TermCombine::kSum; }
-  // Fold seed (0 for sums; 1 or a db-dependent factor for products). The
-  // defaults below abort: they must be overridden together with
-  // supports_delta_scoring().
-  [[nodiscard]] virtual double CombineInit(const Query& query,
-                                           const summary::SummaryView& db,
-                                           const ScoringContext& context) const;
-  // Contribution of query.terms[term_index] read from `db` as-is.
-  [[nodiscard]] virtual double TermContribution(
-      const Query& query, size_t term_index, const summary::SummaryView& db,
-      const ScoringContext& context) const;
-  // Contribution of query.terms[term_index] if its document frequency in
-  // `db` were `df_override` (token frequency scaled proportionally, the
-  // same rule core::OverrideSummary applies).
-  [[nodiscard]] virtual double TermContributionWithDf(
-      const Query& query, size_t term_index, double df_override,
-      const summary::SummaryView& db, const ScoringContext& context) const;
-  // Fills out[g] = TermContributionWithDf(query, term_index, dfs[g], db,
-  // context) for g in [0, count). The default does exactly that loop; the
-  // paper scorers override it to hoist term-invariant work (CORI's cf
-  // lookup and idf logs, LM's global-smoothing lookup) out of the
-  // per-point body — the adaptive selector tabulates every distinct term
-  // over its full posterior support through this call. Overrides must stay
-  // bit-identical to the per-point calls (pinned by scorers_test.cc).
+  virtual TermCombine term_combine() const = 0;
+  // Fold seed (0 for sums; 1 or a db-dependent factor for products).
+  [[nodiscard]] virtual double CombineInit(
+      const Query& query, const summary::SummaryView& db,
+      const ScoringContext& context) const = 0;
+  // Fills out[g] with the contribution of query.terms[term_index] if its
+  // document frequency in `db` were dfs[g], for g in [0, count).
   virtual void TermContributionTable(const Query& query, size_t term_index,
                                      const summary::SummaryView& db,
                                      const ScoringContext& context,
                                      const double* dfs, size_t count,
-                                     double* out) const;
+                                     double* out) const = 0;
   // Maps the fold to the score; must be affine in `combined` (see the
   // contract above). The default is the identity.
   [[nodiscard]] virtual double FinalizeScore(const Query& query,

@@ -22,7 +22,7 @@ struct WordStats {
 };
 
 // Read-only interface over any content summary — concrete (sampled, true,
-// category) or lazily-shrunk (core/shrunk_summary.h). Database selection
+// category) or lazily-shrunk (core/shrinkage.h). Database selection
 // algorithms are written against this interface so they run unchanged over
 // unshrunk and shrunk summaries, as Section 4 requires.
 class SummaryView {

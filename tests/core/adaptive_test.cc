@@ -18,9 +18,12 @@
 #include "fedsearch/util/math.h"
 #include "fedsearch/util/metrics.h"
 #include "fedsearch/util/rng.h"
+#include "testing/override_summary.h"
 
 namespace fedsearch::core {
 namespace {
+
+using testing::OverrideSummary;
 
 // ------------------------------------------------------------ OverrideSummary
 
@@ -54,30 +57,6 @@ TEST(OverrideSummaryTest, PassesThroughOtherWords) {
   EXPECT_DOUBLE_EQ(view.TokenFrequency("kept"), 9.0);
 }
 
-// A scorer that sees the database only through ForEachWord vocabulary
-// iteration (the way coverage-style scorers consume summaries). Used to pin
-// the regression where OverrideSummary::ForEachWord leaked the unperturbed
-// base statistics.
-class VocabularyIteratingScorer : public selection::ScoringFunction {
- public:
-  std::string_view name() const override { return "vocab-sum"; }
-  double Score(const selection::Query& query, const summary::SummaryView& db,
-               const selection::ScoringContext&) const override {
-    double total = 0.0;
-    db.ForEachWord(
-        [&](const std::string& word, const summary::WordStats& stats) {
-          for (const std::string& term : query.terms) {
-            if (term == word) total += stats.df + stats.ctf;
-          }
-        });
-    return total;
-  }
-  double DefaultScore(const selection::Query&, const summary::SummaryView&,
-                      const selection::ScoringContext&) const override {
-    return 0.0;
-  }
-};
-
 TEST(OverrideSummaryTest, ForEachWordAppliesOverrides) {
   summary::ContentSummary base;
   base.set_num_documents(100);
@@ -101,19 +80,6 @@ TEST(OverrideSummaryTest, ForEachWordAppliesOverrides) {
   EXPECT_DOUBLE_EQ(seen.at("new").df, 5.0);
   EXPECT_DOUBLE_EQ(seen.at("new").ctf, 5.0);
   EXPECT_EQ(view.vocabulary_size(), 3u);
-}
-
-TEST(OverrideSummaryTest, VocabularyIteratingScorerSeesPerturbedValues) {
-  summary::ContentSummary base;
-  base.set_num_documents(100);
-  base.SetWord("w", summary::WordStats{10, 30});
-  std::unordered_map<std::string, double> overrides = {{"w", 20.0}};
-  OverrideSummary view(&base, &overrides);
-  VocabularyIteratingScorer scorer;
-  selection::ScoringContext ctx;
-  const selection::Query query{{"w"}};
-  // df 20 + ctf 60, not the base's df 10 + ctf 30.
-  EXPECT_DOUBLE_EQ(scorer.Score(query, view, ctx), 80.0);
 }
 
 // ------------------------------------------------------ DocFrequencyPosterior
@@ -398,20 +364,6 @@ TEST(AdaptiveSelectorTest, EvaluateReadsNoRandomness) {
   EXPECT_EQ(a.use_shrinkage, b.use_shrinkage);
   util::Rng fresh(1);
   EXPECT_EQ(rng_a.NextUint64(), fresh.NextUint64());
-}
-
-TEST(AdaptiveSelectorDeathTest, NonDeltaScorerAborts) {
-  // Scores through ForEachWord only: no per-term contributions to take
-  // moments of.
-  const sampling::SampleResult s = MakeMixedEvidenceSample();
-  AdaptiveSummarySelector selector;
-  VocabularyIteratingScorer scorer;
-  selection::ScoringContext ctx;
-  util::Rng rng(8);
-  EXPECT_DEATH(
-      (void)selector.Evaluate(selection::Query{{"present", "missing"}}, s,
-                              scorer, ctx, rng),
-      "vocab-sum does not implement delta scoring");
 }
 
 // ------------------------------------------------ exact moments vs oracle --
@@ -731,7 +683,6 @@ class FloorHuggingScorer : public selection::ScoringFunction {
                       const selection::ScoringContext&) const override {
     return 0.5;
   }
-  bool supports_delta_scoring() const override { return true; }
   selection::TermCombine term_combine() const override {
     return selection::TermCombine::kSum;
   }
@@ -739,15 +690,11 @@ class FloorHuggingScorer : public selection::ScoringFunction {
                      const selection::ScoringContext&) const override {
     return 0.25;
   }
-  double TermContribution(const selection::Query&, size_t,
-                          const summary::SummaryView&,
-                          const selection::ScoringContext&) const override {
-    return 0.0;
-  }
-  double TermContributionWithDf(
-      const selection::Query&, size_t, double, const summary::SummaryView&,
-      const selection::ScoringContext&) const override {
-    return 0.0;
+  void TermContributionTable(const selection::Query&, size_t,
+                             const summary::SummaryView&,
+                             const selection::ScoringContext&, const double*,
+                             size_t count, double* out) const override {
+    std::fill(out, out + count, 0.0);
   }
 };
 

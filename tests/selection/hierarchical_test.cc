@@ -1,7 +1,10 @@
 #include "fedsearch/selection/hierarchical.h"
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
+#include "fedsearch/core/hierarchy_summaries.h"
 #include "fedsearch/selection/bgloss.h"
 
 namespace fedsearch::selection {
@@ -25,9 +28,27 @@ class HierarchicalTest : public ::testing::Test {
     summaries_.push_back(MakeDb(100, {{"goal", 70}}));             // 3
     summaries_.push_back(MakeDb(100, {{"goal", 20}, {"cardiac", 5}}));  // 4
     classifications_ = {heart_, heart_, aids_, soccer_, soccer_};
-    for (const auto& s : summaries_) summary_ptrs_.push_back(&s);
-    selector_ = std::make_unique<HierarchicalSelector>(
-        &hierarchy_, summary_ptrs_, classifications_);
+    selector_ = MakeSelector(classifications_);
+  }
+
+  // A selector over summaries_ classified by `classifications`, with its
+  // category aggregates (kept in aggregates_) built by
+  // core::HierarchySummaries as Metasearcher builds them.
+  std::unique_ptr<HierarchicalSelector> MakeSelector(
+      const std::vector<corpus::CategoryId>& classifications) {
+    std::vector<const summary::ContentSummary*> ptrs;
+    for (const auto& s : summaries_) ptrs.push_back(&s);
+    aggregates_ = std::make_unique<core::HierarchySummaries>(
+        &hierarchy_, ptrs, classifications);
+    std::vector<const summary::SummaryView*> categories;
+    for (size_t c = 0; c < hierarchy_.size(); ++c) {
+      categories.push_back(
+          &aggregates_->aggregate(static_cast<corpus::CategoryId>(c)));
+    }
+    return std::make_unique<HierarchicalSelector>(
+        &hierarchy_,
+        std::vector<const summary::SummaryView*>(ptrs.begin(), ptrs.end()),
+        classifications, std::move(categories));
   }
 
   static summary::ContentSummary MakeDb(
@@ -43,8 +64,8 @@ class HierarchicalTest : public ::testing::Test {
   corpus::TopicHierarchy hierarchy_;
   corpus::CategoryId health_, heart_, aids_, sports_, soccer_;
   std::vector<summary::ContentSummary> summaries_;
-  std::vector<const summary::ContentSummary*> summary_ptrs_;
   std::vector<corpus::CategoryId> classifications_;
+  std::unique_ptr<core::HierarchySummaries> aggregates_;
   std::unique_ptr<HierarchicalSelector> selector_;
 };
 
@@ -84,13 +105,11 @@ TEST_F(HierarchicalTest, ReturnsNothingWithoutEvidence) {
 TEST_F(HierarchicalTest, DatabasesClassifiedAtInternalNodesAreReachable) {
   // Attach a database directly at "Health" (an internal node), as FPS can.
   summaries_.push_back(MakeDb(100, {{"clinical", 40}}));
-  std::vector<const summary::ContentSummary*> ptrs;
-  for (const auto& s : summaries_) ptrs.push_back(&s);
   std::vector<corpus::CategoryId> cls = classifications_;
   cls.push_back(health_);
-  HierarchicalSelector selector(&hierarchy_, ptrs, cls);
+  const auto selector = MakeSelector(cls);
   BglossScorer bgloss;
-  const auto ranking = selector.Select(Query{{"clinical"}}, 3, bgloss);
+  const auto ranking = selector->Select(Query{{"clinical"}}, 3, bgloss);
   ASSERT_EQ(ranking.size(), 1u);
   EXPECT_EQ(ranking[0].database, 5u);
 }

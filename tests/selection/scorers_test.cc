@@ -1,12 +1,16 @@
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "fedsearch/core/adaptive.h"
 #include "fedsearch/selection/bgloss.h"
 #include "fedsearch/selection/cori.h"
 #include "fedsearch/selection/lm.h"
+#include "testing/override_summary.h"
 
 namespace fedsearch::selection {
 namespace {
@@ -156,11 +160,11 @@ TEST_F(ScorersTest, LmWithoutGlobalSummary) {
   EXPECT_EQ(lm.DefaultScore(q, health_, ctx), 0.0);
 }
 
-// -------------------------------------------------------- delta protocol --
+// --------------------------------------------------------- per-term form --
 //
-// The adaptive score moments (core/adaptive.cc) rest on the contracts
-// declared in scoring.h — three bit identities and an affine
-// FinalizeScore; these tests pin them for every paper scorer.
+// The adaptive score moments (core/adaptive.cc) rest on the two contracts
+// of scoring.h's per-term form — the table fold equals Score bit for bit,
+// and FinalizeScore is affine; these tests pin them for every paper scorer.
 
 class DeltaProtocolTest : public ScorersTest {
  protected:
@@ -174,26 +178,54 @@ class DeltaProtocolTest : public ScorersTest {
   std::vector<const ScoringFunction*> scorers_;
 };
 
-TEST_F(DeltaProtocolTest, FoldMatchesScoreBitwise) {
-  // Score(q, D, ctx) == FinalizeScore over the CombineInit/TermContribution
-  // fold, bit for bit — including missing words and the empty query.
-  const Query queries[] = {Query{{"blood", "hypertension"}},
-                           Query{{"algorithm", "blood", "nonexistent"}},
-                           Query{{"nonexistent"}},
-                           Query{}};
+TEST_F(DeltaProtocolTest, TableFoldMatchesScoreBitwise) {
+  // Each query term is tabulated in one TermContributionTable call over
+  // 0, 0.4 (rounds to absent), 1, 3.7, its own df, |D| and 2|D|. Column g
+  // gives the k-th distinct term the df at (g + k) mod 7 — one df per
+  // distinct term, shared by its repeats — and folding those values
+  // through CombineInit and FinalizeScore must equal Score over a summary
+  // holding the same dfs (testing::OverrideSummary), bit for bit. The
+  // queries cover a seen, an unseen and a repeated word and the empty
+  // query.
+  constexpr size_t kPoints = 7;
+  const Query queries[] = {Query{{"blood", "nonexistent", "blood"}},
+                           Query{{"algorithm", "hypertension"}}, Query{}};
   const summary::SummaryView* dbs[] = {&health_, &cs_};
   for (const ScoringFunction* s : scorers_) {
-    ASSERT_TRUE(s->supports_delta_scoring()) << s->name();
-    for (const Query& q : queries) {
-      for (const summary::SummaryView* db : dbs) {
-        double combined = s->CombineInit(q, *db, context_);
-        for (size_t i = 0; i < q.terms.size(); ++i) {
-          const double c = s->TermContribution(q, i, *db, context_);
-          combined = s->term_combine() == TermCombine::kSum ? combined + c
-                                                             : combined * c;
+    for (const summary::SummaryView* db : dbs) {
+      const double n = db->num_documents();
+      for (const Query& q : queries) {
+        const size_t terms = q.terms.size();
+        std::vector<std::string> distinct;
+        std::vector<size_t> slot(terms);
+        std::vector<std::array<double, kPoints>> dfs(terms);
+        std::vector<std::array<double, kPoints>> rows(terms);
+        for (size_t i = 0; i < terms; ++i) {
+          const std::string& w = q.terms[i];
+          slot[i] = static_cast<size_t>(
+              std::find(distinct.begin(), distinct.end(), w) -
+              distinct.begin());
+          if (slot[i] == distinct.size()) distinct.push_back(w);
+          dfs[i] = {0.0, 0.4, 1.0, 3.7, db->DocFrequency(w), n, 2.0 * n};
+          s->TermContributionTable(q, i, *db, context_, dfs[i].data(),
+                                   kPoints, rows[i].data());
         }
-        const double folded = s->FinalizeScore(q, combined);
-        EXPECT_EQ(folded, s->Score(q, *db, context_)) << s->name();
+        for (size_t g = 0; g < kPoints; ++g) {
+          std::unordered_map<std::string, double> overrides;
+          double combined = s->CombineInit(q, *db, context_);
+          for (size_t i = 0; i < terms; ++i) {
+            const size_t point = (g + slot[i]) % kPoints;
+            overrides[q.terms[i]] = dfs[i][point];
+            combined = s->term_combine() == TermCombine::kSum
+                           ? combined + rows[i][point]
+                           : combined * rows[i][point];
+          }
+          const testing::OverrideSummary perturbed(db, &overrides);
+          EXPECT_EQ(s->FinalizeScore(q, combined),
+                    s->Score(q, perturbed, context_))
+              << s->name() << " |D| " << n << " |q| " << terms
+              << " column " << g;
+        }
       }
     }
   }
@@ -215,48 +247,6 @@ TEST_F(DeltaProtocolTest, FinalizeScoreIsAffine) {
       for (const double x : points) {
         EXPECT_DOUBLE_EQ(s->FinalizeScore(q, x), at_zero + slope * x)
             << s->name() << " |q| " << q.terms.size() << " x " << x;
-      }
-    }
-  }
-}
-
-TEST_F(DeltaProtocolTest, ContributionTableMatchesPerPointBitwise) {
-  // The bulk tabulation (the hoisted loops of cori/lm/bgloss.cc) must
-  // reproduce the per-point TermContributionWithDf values exactly; df
-  // points cover absent (0), sub-presence (0.4, rounds to absent), small,
-  // fractional, large, and the full database size.
-  const Query q{{"blood", "hypertension", "nonexistent"}};
-  const double dfs[] = {0.0, 0.4, 1.0, 3.7, 320.0, 999.0, 1000.0};
-  const size_t count = sizeof(dfs) / sizeof(dfs[0]);
-  for (const ScoringFunction* s : scorers_) {
-    for (size_t t = 0; t < q.terms.size(); ++t) {
-      double table[count];
-      s->TermContributionTable(q, t, health_, context_, dfs, count, table);
-      for (size_t g = 0; g < count; ++g) {
-        EXPECT_EQ(table[g],
-                  s->TermContributionWithDf(q, t, dfs[g], health_, context_))
-            << s->name() << " term " << t << " df " << dfs[g];
-      }
-    }
-  }
-}
-
-TEST_F(DeltaProtocolTest, WithDfMatchesOverrideSummaryBitwise) {
-  // TermContributionWithDf must equal TermContribution read through
-  // core::OverrideSummary — the reference counterfactual view — so a grid
-  // point scores exactly as the summary with that df would. "blood"
-  // exercises the seen-word token-scaling rule, "nonexistent" the
-  // unseen-word rule.
-  const Query q{{"blood", "nonexistent"}};
-  const double df_points[] = {0.0, 0.4, 3.7, 420.0, 2000.0};
-  for (const ScoringFunction* s : scorers_) {
-    for (size_t t = 0; t < q.terms.size(); ++t) {
-      for (const double d : df_points) {
-        std::unordered_map<std::string, double> overrides = {{q.terms[t], d}};
-        core::OverrideSummary perturbed(&health_, &overrides);
-        EXPECT_EQ(s->TermContributionWithDf(q, t, d, health_, context_),
-                  s->TermContribution(q, t, perturbed, context_))
-            << s->name() << " term " << q.terms[t] << " df " << d;
       }
     }
   }

@@ -34,7 +34,10 @@ TEST(ScoringContextDeathTest, CoriAbortsOnTermTheContextWasNotFilledFor) {
   PrepareContextForQuery(Query{{"x"}}, ctx);
   EXPECT_DEATH((void)cori.Score(Query{{"x", "y"}}, a, ctx),
                "CORI scored term \"y\"");
-  EXPECT_DEATH((void)cori.TermContributionWithDf(Query{{"y"}}, 0, 5.0, a, ctx),
+  const double df = 5.0;
+  double belief = 0.0;
+  EXPECT_DEATH(cori.TermContributionTable(Query{{"y"}}, 0, a, ctx, &df, 1,
+                                          &belief),
                "CORI scored term \"y\"");
 }
 
