@@ -1,8 +1,8 @@
 // Serving-layer throughput: queries/sec of Metasearcher::SelectDatabases
-// with one thread versus the auto-detected thread count, for each summary
-// mode, plus posterior-cache hit rates. Before timing anything the bench
-// verifies the parallel rankings are bit-identical to the serial ones —
-// a speedup that changes results would be a bug, not a feature.
+// with one thread versus N threads, for each summary mode, plus
+// posterior-cache hit rates. Before timing anything the bench verifies
+// the parallel rankings are bit-identical to the serial ones — a speedup
+// that changes results would be a bug, not a feature.
 //
 // Usage:
 //   bench_serving_throughput [--smoke] [--threads N] [--json out.json]
@@ -10,25 +10,25 @@
 //
 // --smoke lowers the repetition floor to three passes (CI sanity check;
 // every timed run still lasts >= 1 s so the gated best-pass CPU numbers
-// have passes to choose from); --threads overrides
-// the parallel thread count (default: FEDSEARCH_THREADS, else hardware
-// concurrency); --json writes a schema-versioned BENCH report (see
-// harness/report.h) consumed by tools/check_bench_regression.py; --trace
-// enables span tracing and writes the span timeline as JSON; --trace-out
-// writes the same spans as a Chrome-trace/Perfetto timeline (load in
-// chrome://tracing or feed to tools/analyze_timeline.py).
+// have passes to choose from); --threads sets the parallel thread count
+// N (default: the hardware concurrency, at least 1); --json writes a
+// schema-versioned BENCH report (see harness/report.h) consumed by
+// tools/check_bench_regression.py; --trace enables span tracing and
+// writes the span timeline as JSON; --trace-out writes the same spans as
+// a Chrome-trace/Perfetto timeline (load in chrome://tracing or feed to
+// tools/analyze_timeline.py).
 // FEDSEARCH_SCALE / FEDSEARCH_SEED apply as in every bench.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fedsearch/selection/bgloss.h"
 #include "fedsearch/selection/cori.h"
 #include "fedsearch/util/metrics.h"
-#include "fedsearch/util/thread_pool.h"
 #include "fedsearch/util/trace.h"
 #include "harness/experiment.h"
 #include "harness/report.h"
@@ -152,7 +152,7 @@ const char* Name(core::SummaryMode mode) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  size_t threads = util::ThreadPool::DefaultThreadCount();
+  size_t threads = std::thread::hardware_concurrency();
   std::string json_path;
   std::string trace_path;
   std::string perfetto_path;

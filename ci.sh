@@ -44,7 +44,9 @@
 #                   its own that compiles src/ directly) built into
 #                   build-ci/perfbench and self-tested by
 #                   perfbench/selftest.py: every workload smoke-run
-#                   untraced and traced, plus its negative cases
+#                   untraced and traced, plus its negative cases; then
+#                   each workload BENCHMARK.json lists runs 1 s at full
+#                   shape and must report correct and 0 failed
 #
 # The tidy and tsa jobs need a clang toolchain. Without one they skip
 # with a notice by default; set FEDSEARCH_CI_STRICT=1 to make a missing
@@ -358,6 +360,24 @@ if selected perfbench; then
   # CMake project, so a change that deletes a public name it calls passes
   # every other job and fails only here.
   run env CARGO_TARGET_DIR=build-ci/perfbench python3 perfbench/selftest.py
+  # The self-test's smokes overload the broker on purpose, so only a run at
+  # a listed workload's full shape shows that none of its operations fail.
+  # One second per workload; the result is the last line of stdout.
+  workloads="$(python3 -c 'import json; print(*(w["name"] for w in
+    json.load(open("BENCHMARK.json"))["workloads"]))')"
+  for workload in $workloads; do
+    echo "+ perfbench/run.py --workload $workload --seed 1 --seconds 1 --trace 0"
+    result="$(env CARGO_TARGET_DIR=build-ci/perfbench python3 perfbench/run.py \
+      --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+    python3 - "$workload" "$result" <<'PY'
+import json, sys
+workload, result = sys.argv[1], json.loads(sys.argv[2])
+print("%s: correct %s, attempted %s, failed %s" % (
+    workload, result["correct"], result["attempted"], result["failed"]))
+if result["correct"] is not True or result["failed"] != 0:
+    sys.exit("ci.sh: perfbench %s failed its full-shape run" % workload)
+PY
+  done
   end_job
 fi
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "fedsearch/util/check.h"
 #include "fedsearch/util/json_writer.h"
@@ -100,30 +101,20 @@ const char* DispositionName(Disposition disposition) {
 QueryBroker::QueryBroker(const core::Metasearcher* meta,
                          const selection::ScoringFunction* scorer,
                          BrokerOptions options)
-    : owned_source_(std::make_unique<core::FixedMetasearcherSource>(meta)),
-      source_(owned_source_.get()),
-      scorer_(scorer),
-      options_(options),
-      admission_(options.admission),
-      degradation_(options.degradation),
-      slo_(options.slo) {
-  options_.num_workers = std::max<size_t>(options_.num_workers, 1);
-  options_.max_batch = std::max<size_t>(options_.max_batch, 1);
-  worker_free_ms_.assign(options_.num_workers, 0.0);
-  pool_ = std::make_unique<util::ThreadPool>(options_.num_workers);
-  // The pool's calling thread participates in ParallelFor, so the broker
-  // dedicates a dispatcher thread to it; together with the pool's
-  // num_workers - 1 spawned threads that makes exactly num_workers
-  // long-lived WorkerLoop instances.
-  dispatcher_ = std::thread([this] {
-    pool_->ParallelFor(options_.num_workers, [this](size_t) { WorkerLoop(); });
-  });
-}
+    : QueryBroker(std::make_shared<const core::FixedMetasearcherSource>(meta),
+                  scorer, options) {}
 
 QueryBroker::QueryBroker(const core::MetasearcherSource* source,
                          const selection::ScoringFunction* scorer,
                          BrokerOptions options)
-    : source_(source),
+    : QueryBroker(std::shared_ptr<const core::MetasearcherSource>(
+                      std::shared_ptr<void>(), source),
+                  scorer, options) {}
+
+QueryBroker::QueryBroker(
+    std::shared_ptr<const core::MetasearcherSource> source,
+    const selection::ScoringFunction* scorer, BrokerOptions options)
+    : source_(std::move(source)),
       scorer_(scorer),
       options_(options),
       admission_(options.admission),
@@ -132,14 +123,10 @@ QueryBroker::QueryBroker(const core::MetasearcherSource* source,
   options_.num_workers = std::max<size_t>(options_.num_workers, 1);
   options_.max_batch = std::max<size_t>(options_.max_batch, 1);
   worker_free_ms_.assign(options_.num_workers, 0.0);
-  pool_ = std::make_unique<util::ThreadPool>(options_.num_workers);
-  // The pool's calling thread participates in ParallelFor, so the broker
-  // dedicates a dispatcher thread to it; together with the pool's
-  // num_workers - 1 spawned threads that makes exactly num_workers
-  // long-lived WorkerLoop instances.
-  dispatcher_ = std::thread([this] {
-    pool_->ParallelFor(options_.num_workers, [this](size_t) { WorkerLoop(); });
-  });
+  workers_.reserve(options_.num_workers);
+  for (size_t i = 0; i < options_.num_workers; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
 }
 
 QueryBroker::~QueryBroker() { Shutdown(); }
@@ -350,16 +337,6 @@ void QueryBroker::AdvanceVirtualClockLocked(double now) {
 }
 
 void QueryBroker::WorkerLoop() {
-  {
-    // Start barrier: ParallelFor hands out indices dynamically, so without
-    // it one pool thread could claim two of these long-lived loops and
-    // halve the real concurrency. Holding every loop until all indices are
-    // claimed forces one loop per thread.
-    util::MutexLock lock(mu_);
-    ++workers_started_;
-    started_cv_.NotifyAll();
-    while (workers_started_ < options_.num_workers) started_cv_.Wait(mu_);
-  }
   std::vector<QueueItem> batch;
   while (true) {
     batch.clear();
@@ -470,8 +447,7 @@ void QueryBroker::CancelQueuedLocked() {
 void QueryBroker::Shutdown() {
   {
     // Idempotent: a second call (e.g. the destructor after an explicit
-    // Shutdown) finds an empty queue and a joined dispatcher and falls
-    // through harmlessly.
+    // Shutdown) finds an empty queue and no workers left to join.
     util::MutexLock lock(mu_);
     stopping_ = true;
     // Whatever is still queued will never run; resolve it so every request
@@ -480,8 +456,8 @@ void QueryBroker::Shutdown() {
   }
   work_cv_.NotifyAll();
   drain_cv_.NotifyAll();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  pool_.reset();
+  for (std::thread& worker : workers_) worker.join();
+  workers_.clear();
 }
 
 const std::vector<RequestResult>& QueryBroker::results() const {

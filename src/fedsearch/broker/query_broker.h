@@ -19,15 +19,14 @@
 #include "fedsearch/util/deadline.h"
 #include "fedsearch/util/mutex.h"
 #include "fedsearch/util/thread_annotations.h"
-#include "fedsearch/util/thread_pool.h"
 #include "fedsearch/util/trace.h"
 
 namespace fedsearch::broker {
 
 struct BrokerOptions {
-  // Concurrent SelectDatabases executions (util::ThreadPool threads; the
-  // metasearcher itself should serve serially — inter-query parallelism is
-  // the axis that scales, per ROADMAP).
+  // Worker threads the broker starts, each running one SelectDatabases at
+  // a time (the metasearcher itself should serve serially — inter-query
+  // parallelism is the axis that scales).
   size_t num_workers = 4;
   // Requests a worker dequeues per queue-lock acquisition. Batch members
   // run back-to-back on one thread, sharing the metasearcher's warm
@@ -141,7 +140,7 @@ struct BrokerStats {
 //
 // Requests arrive open-loop (Submit with a virtual arrival time, typically
 // from an OpenLoopGenerator) and pass through three robustness layers
-// before a util::ThreadPool worker runs SelectDatabases:
+// before one of the broker's worker threads runs SelectDatabases:
 //
 //   queue -> admission control -> degradation -> batch -> execute
 //
@@ -151,9 +150,9 @@ struct BrokerStats {
 //    worker assignment, and deadline budgets are all computed here from
 //    the request's scaled cost model (never from wall time or thread
 //    timing);
-//  * *real* execution on pool workers, which runs each admitted request
-//    with a charge-based util::Deadline whose budget came from the virtual
-//    schedule. Because SelectDatabases charges the identical cost
+//  * *real* execution on the worker threads, which run each admitted
+//    request with a charge-based util::Deadline whose budget came from the
+//    virtual schedule. Because SelectDatabases charges the identical cost
 //    sequence, the execution's expiry verdict agrees with the virtual
 //    prediction bit-for-bit (DCHECKed), and real thread interleaving can
 //    only change *when* work happens, never any recorded number.
@@ -165,10 +164,11 @@ struct BrokerStats {
 // ComputeStats() are valid once Drain() or Shutdown() returned.
 class QueryBroker {
  public:
-  // `meta` and `scorer` must outlive the broker. `meta` should be built
-  // with num_threads = 1: the broker supplies the parallelism, and nested
-  // per-query fan-out would fight it for cores. This overload serves a
-  // static federation: every request executes on `meta` at epoch 0.
+  // `meta` and `scorer` must outlive the broker. `meta` should serve
+  // serially (num_threads = 1, the default): the broker supplies the
+  // parallelism, and nested per-query fan-out would fight it for cores.
+  // This overload serves a static federation: every request executes on
+  // `meta` at epoch 0.
   QueryBroker(const core::Metasearcher* meta,
               const selection::ScoringFunction* scorer,
               BrokerOptions options = {});
@@ -261,6 +261,12 @@ class QueryBroker {
                               const util::Deadline::Costs& costs,
                               size_t num_databases, size_t num_evaluated);
 
+  // Both public constructors delegate here. `source` is shared only so
+  // that the static overload can own its FixedMetasearcherSource; the
+  // live overload passes an ownerless alias of the caller's source.
+  QueryBroker(std::shared_ptr<const core::MetasearcherSource> source,
+              const selection::ScoringFunction* scorer, BrokerOptions options);
+
   void WorkerLoop() FEDSEARCH_EXCLUDES(mu_);
   void ExecuteOne(QueueItem& item) FEDSEARCH_EXCLUDES(mu_);
   // Advances the virtual discrete-event schedule to `now`: completions
@@ -277,10 +283,8 @@ class QueryBroker {
   // submit-order replay.
   void ObserveSloLocked(bool good) FEDSEARCH_REQUIRES(mu_);
 
-  // Legacy static-metasearcher ctor wraps its argument here; the source
-  // ctor leaves this empty. source_ is what Submit snapshots either way.
-  std::unique_ptr<core::FixedMetasearcherSource> owned_source_;
-  const core::MetasearcherSource* source_;
+  // What Submit snapshots (see the private constructor).
+  std::shared_ptr<const core::MetasearcherSource> source_;
   const selection::ScoringFunction* scorer_;
   BrokerOptions options_;
 
@@ -294,8 +298,6 @@ class QueryBroker {
   mutable util::Mutex mu_;
   util::CondVar work_cv_;
   util::CondVar drain_cv_;
-  util::CondVar started_cv_;
-  size_t workers_started_ FEDSEARCH_GUARDED_BY(mu_) = 0;
   bool stopping_ FEDSEARCH_GUARDED_BY(mu_) = false;
   std::deque<QueueItem> queue_ FEDSEARCH_GUARDED_BY(mu_);
   std::vector<RequestResult> results_ FEDSEARCH_GUARDED_BY(mu_);
@@ -317,8 +319,8 @@ class QueryBroker {
   // SloTracker is not itself thread-safe by design; the broker owns the
   // only instance and updates it under the scheduler lock.
   SloTracker slo_ FEDSEARCH_GUARDED_BY(mu_);
-  std::unique_ptr<util::ThreadPool> pool_;
-  std::thread dispatcher_;
+  // num_workers threads, each running WorkerLoop until Shutdown joins it.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace fedsearch::broker

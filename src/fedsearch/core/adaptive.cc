@@ -42,10 +42,12 @@ AdaptiveMetrics& Metrics() {
 }
 
 // One distinct query term: its first occurrence in the query, its
-// occurrence count m_k and its posterior p(d_k | s_k).
+// occurrence count m_k, its sample document frequency s_k and its
+// posterior p(d_k | s_k).
 struct DistinctTerm {
   size_t first = 0;
   size_t count = 0;
+  size_t sample_df = 0;
   const DocFrequencyPosterior* posterior = nullptr;
 };
 
@@ -307,20 +309,41 @@ AdaptiveSummarySelector::Uncertainty AdaptiveSummarySelector::Evaluate(
     return result;
   }
 
+  // Duplicate query terms denote one latent document frequency: one
+  // posterior per DISTINCT term, in first-occurrence order, whose value
+  // every occurrence reuses. The linear scan keeps dedup deterministic
+  // without ordered containers, and queries are a handful of terms. Each
+  // distinct term's s_k is looked up here, once.
+  std::vector<DistinctTerm> terms;
+  terms.reserve(query.terms.size());
+  for (size_t i = 0; i < query.terms.size(); ++i) {
+    const auto same =
+        std::find_if(terms.begin(), terms.end(), [&](const DistinctTerm& t) {
+          return query.terms[t.first] == query.terms[i];
+        });
+    if (same != terms.end()) {
+      ++same->count;
+    } else {
+      auto it = sample.sample_df.find(query.terms[i]);
+      terms.push_back(DistinctTerm{
+          i, 1, it != sample.sample_df.end() ? it->second : 0, nullptr});
+    }
+  }
+
   // Section 4's boundary-case gate: all words present (summary already
   // trustworthy for this query) or all words absent (the database is
   // confidently a poor match) -> no shrinkage. A single-word query cannot
   // show mixed evidence, so it passes whenever its word is absent — the
   // paper's [hemophilia] scenario (Example 1), where the sample missing
-  // one rare word is precisely the uncertainty shrinkage resolves.
+  // one rare word is precisely the uncertainty shrinkage resolves. The
+  // size test counts occurrences, so {w, w} is gated too; a duplicate has
+  // its term's s_k, so the distinct terms decide as every occurrence would.
   if (options_.require_mixed_evidence && query.terms.size() > 1) {
     bool any_present = false;
     bool any_absent = false;
-    for (const std::string& w : query.terms) {
-      auto it = sample.sample_df.find(w);
-      const size_t sk = it != sample.sample_df.end() ? it->second : 0;
-      if (sk >= options_.present_min_df) any_present = true;
-      if (sk == 0) any_absent = true;
+    for (const DistinctTerm& t : terms) {
+      if (t.sample_df >= options_.present_min_df) any_present = true;
+      if (t.sample_df == 0) any_absent = true;
     }
     if (!any_present || !any_absent) {
       Metrics().gate_no_mixed_evidence.Add();
@@ -332,24 +355,6 @@ AdaptiveSummarySelector::Uncertainty AdaptiveSummarySelector::Evaluate(
   // γ = 1/α − 1 from the rank-frequency exponent (Appendix B; [1]),
   // with degenerate fits falling back to the Zipf default (PowerLawGamma).
   const double gamma = PowerLawGamma(sample.mandelbrot_alpha);
-
-  // Duplicate query terms denote one latent document frequency: one
-  // posterior per DISTINCT term, in first-occurrence order, whose value
-  // every occurrence reuses. The linear scan keeps dedup deterministic
-  // without ordered containers, and queries are a handful of terms.
-  std::vector<DistinctTerm> terms;
-  terms.reserve(query.terms.size());
-  for (size_t i = 0; i < query.terms.size(); ++i) {
-    const auto same =
-        std::find_if(terms.begin(), terms.end(), [&](const DistinctTerm& t) {
-          return query.terms[t.first] == query.terms[i];
-        });
-    if (same != terms.end()) {
-      ++same->count;
-    } else {
-      terms.push_back(DistinctTerm{i, 1, nullptr});
-    }
-  }
 
   // Per-word posteriors p(d_k | s_k) — memoized per (database, s_k) when a
   // cache is supplied, since all other posterior parameters are fixed per
@@ -365,19 +370,17 @@ AdaptiveSummarySelector::Uncertainty AdaptiveSummarySelector::Evaluate(
   owned.reserve(cache == nullptr ? terms.size() : 0);
   cached.reserve(cache != nullptr ? terms.size() : 0);
   for (DistinctTerm& t : terms) {
-    auto it = sample.sample_df.find(query.terms[t.first]);
-    const size_t sk = it != sample.sample_df.end() ? it->second : 0;
     if (cache != nullptr) {
-      cached.push_back(cache->Get(database_index, sk, sample.sample_size,
-                                  db_size, gamma, options_.grid_points,
-                                  epoch, trace));
+      cached.push_back(cache->Get(database_index, t.sample_df,
+                                  sample.sample_size, db_size, gamma,
+                                  options_.grid_points, epoch, trace));
       t.posterior = cached.back().get();
     } else {
       if (local_basis == nullptr) {
         local_basis = std::make_shared<PosteriorGridBasis>(
             db_size, gamma, options_.grid_points);
       }
-      owned.emplace_back(local_basis, sk, sample.sample_size);
+      owned.emplace_back(local_basis, t.sample_df, sample.sample_size);
       t.posterior = &owned.back();
     }
   }

@@ -149,9 +149,7 @@ Metasearcher::Metasearcher(const corpus::TopicHierarchy* hierarchy,
                                 options_.adaptive.grid_points,
                                 summary_epoch(i));
   }
-  num_threads_ = options_.num_threads > 0
-                     ? options_.num_threads
-                     : util::ThreadPool::DefaultThreadCount();
+  num_threads_ = std::max<size_t>(options_.num_threads, 1);
   if (num_threads_ > 1) {
     pool_ = std::make_unique<util::ThreadPool>(num_threads_);
   }
@@ -379,7 +377,7 @@ const selection::ScoringStatisticsCache& Metasearcher::ShrunkStatistics()
 std::vector<selection::RankedDatabase> Metasearcher::SelectHierarchical(
     const selection::Query& query, const selection::ScoringFunction& scorer,
     size_t k) const {
-  return hierarchical_->Select(query, k, scorer);
+  return hierarchical_->Select(query, k, scorer, plain_statistics_);
 }
 
 }  // namespace fedsearch::core

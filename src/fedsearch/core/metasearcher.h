@@ -40,14 +40,14 @@ struct MetasearcherOptions {
   // Unused: the adaptive decision is exact and draws nothing. Still read
   // by callers that replay the selection pipeline outside Metasearcher.
   uint64_t adaptive_seed = 0xADA9715EULL;
-  // Worker threads for SelectDatabases (the per-database fan-out of the
-  // adaptive evaluation and the scoring). 0 = auto: the FEDSEARCH_THREADS
-  // environment variable if set, else the hardware concurrency. Rankings
-  // are bit-identical for every thread count — each database's decision
-  // is a deterministic function of its own inputs, workers write only
-  // their own slots, and reductions happen in index order on the calling
-  // thread.
-  size_t num_threads = 0;
+  // Threads SelectDatabases fans out over (the per-database adaptive
+  // evaluation and the scoring). 0 and 1 both mean serial, on the calling
+  // thread; a server gets its parallelism from concurrent queries (the
+  // broker's workers) instead. Rankings are bit-identical for every
+  // thread count — each database's decision is a deterministic function
+  // of its own inputs, workers write only their own slots, and reductions
+  // happen in index order on the calling thread.
+  size_t num_threads = 1;
 
   // --- Live-refresh plumbing (set by LiveMetasearcher when it builds a
   // snapshot; static deployments leave all of these at their defaults). ---
@@ -119,7 +119,7 @@ class Metasearcher {
   const summary::ContentSummary& global_summary() const {
     return hierarchy_summaries_->root_aggregate();
   }
-  // Threads SelectDatabases fans out over (resolved from the options).
+  // Threads SelectDatabases fans out over (at least 1).
   size_t num_threads() const { return num_threads_; }
   // Global epoch of this snapshot (0 for static deployments) and the epoch
   // at which database i's summary was last refreshed.

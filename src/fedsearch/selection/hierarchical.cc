@@ -89,13 +89,14 @@ void HierarchicalSelector::SelectUnder(const Query& query,
 }
 
 std::vector<RankedDatabase> HierarchicalSelector::Select(
-    const Query& query, size_t k, const ScoringFunction& scorer) const {
+    const Query& query, size_t k, const ScoringFunction& scorer,
+    const ScoringStatisticsCache& statistics) const {
   // Context for base scoring within the hierarchy: category and database
   // summaries compete locally; corpus statistics use all database summaries.
   ScoringContext context;
   context.ranked_summaries = summaries_;
   context.global_summary = category_summaries_[0];
-  PrepareContextForQuery(query, context);
+  statistics.FillContext(query, context);
 
   std::vector<RankedDatabase> out;
   SelectUnder(query, hierarchy_->root(), k, scorer, context, out);

@@ -1,7 +1,5 @@
 #include "fedsearch/util/thread_pool.h"
 
-#include <cstdlib>
-
 #include "fedsearch/util/check.h"
 #include "fedsearch/util/metrics.h"
 
@@ -113,15 +111,6 @@ void ThreadPool::ParallelFor(size_t count,
   while (pending_workers_ != 0) done_cv_.Wait(mu_);
   fn_ = nullptr;
   count_ = 0;
-}
-
-size_t ThreadPool::DefaultThreadCount() {
-  if (const char* env = std::getenv("FEDSEARCH_THREADS")) {
-    const long value = std::atol(env);
-    if (value > 0) return static_cast<size_t>(value);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<size_t>(hw) : 1;
 }
 
 }  // namespace fedsearch::util

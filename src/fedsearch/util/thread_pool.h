@@ -58,11 +58,6 @@ class ThreadPool {
   void ParallelFor(size_t count, const std::function<void(size_t)>& fn)
       FEDSEARCH_EXCLUDES(run_mu_, mu_);
 
-  // Thread count to use when the caller does not specify one: the
-  // FEDSEARCH_THREADS environment variable if set to a positive integer,
-  // otherwise the hardware concurrency (at least 1).
-  static size_t DefaultThreadCount();
-
  private:
   void WorkerLoop() FEDSEARCH_EXCLUDES(mu_);
   // `stealing_worker` only labels the claimed-index metric (worker-claimed

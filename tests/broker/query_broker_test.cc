@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "fedsearch/broker/load_generator.h"
@@ -13,6 +18,45 @@ namespace fedsearch::broker {
 namespace {
 
 using fedsearch::testing::SharedSmallTestbed;
+
+// CORI whose Score holds each thread's first call until `threads` threads
+// are inside Score at once. A 20 s timeout releases a gathering that never
+// completes, so a broker running fewer workers fails the test instead of
+// hanging it.
+class RendezvousCori : public selection::CoriScorer {
+ public:
+  explicit RendezvousCori(size_t threads) : threads_(threads) {}
+
+  double Score(const selection::Query& query, const summary::SummaryView& db,
+               const selection::ScoringContext& context) const override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (seen_.insert(std::this_thread::get_id()).second) {
+        ++arrived_;
+        cv_.notify_all();
+        if (!cv_.wait_for(lock, std::chrono::seconds(20),
+                          [this] { return arrived_ >= threads_; })) {
+          timed_out_ = true;
+        }
+      }
+    }
+    return CoriScorer::Score(query, db, context);
+  }
+
+  // True when all `threads` threads met before any waiter timed out.
+  bool met() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return arrived_ >= threads_ && !timed_out_;
+  }
+
+ private:
+  const size_t threads_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable std::set<std::thread::id> seen_;
+  mutable size_t arrived_ = 0;
+  mutable bool timed_out_ = false;
+};
 
 // One serial metasearcher shared by every broker test: the broker supplies
 // the parallelism, the metasearcher must not.
@@ -209,6 +253,24 @@ TEST_F(QueryBrokerTest, HopelesslySlowRequestResolvesExactlyAtTheDeadline) {
   EXPECT_GT(r.evaluations_completed, 0u);
   EXPECT_LT(r.evaluations_completed, meta_->num_databases());
   EXPECT_EQ(r.ranking_hash, 0u);
+}
+
+TEST_F(QueryBrokerTest, NumWorkersRequestsExecuteConcurrently) {
+  // num_workers requests at one virtual instant must run on num_workers
+  // threads at once: each worker takes one (max_batch = 1) and its scorer
+  // call waits inside Score until the others arrive.
+  BrokerOptions broker_opts;
+  broker_opts.num_workers = 3;
+  broker_opts.max_batch = 1;
+  broker_opts.full_mode = core::SummaryMode::kPlain;
+  const RendezvousCori scorer(broker_opts.num_workers);
+  QueryBroker broker(meta_, &scorer, broker_opts);
+  for (size_t i = 0; i < broker_opts.num_workers; ++i) {
+    broker.Submit((*queries_)[i], /*arrival_ms=*/0.0);
+  }
+  broker.Drain();
+  EXPECT_TRUE(scorer.met());
+  EXPECT_EQ(broker.ComputeStats().served_full, broker_opts.num_workers);
 }
 
 TEST_F(QueryBrokerTest, SubmitAfterShutdownResolvesAsCancelled) {

@@ -269,6 +269,26 @@ TEST(AdaptiveSelectorTest, AllWordsAbsentSkipsShrinkage) {
   EXPECT_EQ(CounterValue("adaptive.gate_no_mixed_evidence") - gated0, 1u);
 }
 
+TEST(AdaptiveSelectorTest, RepeatedAbsentWordIsGatedUnlikeItsSingleWord) {
+  // The gate counts query terms, not distinct ones: [missing missing] is
+  // all-absent evidence and gated, while [missing] cannot show mixed
+  // evidence and passes through to the uncertainty rule.
+  sampling::SampleResult s = MakeSample(50000, 300);
+  AdaptiveSummarySelector selector;
+  selection::BglossScorer bgloss;
+  selection::ScoringContext ctx;
+  util::Rng rng(2);
+  const uint64_t gated0 = CounterValue("adaptive.gate_no_mixed_evidence");
+  const auto repeated = selector.Evaluate(
+      selection::Query{{"missing", "missing"}}, s, bgloss, ctx, rng);
+  EXPECT_FALSE(repeated.use_shrinkage);
+  EXPECT_EQ(CounterValue("adaptive.gate_no_mixed_evidence") - gated0, 1u);
+  const auto single =
+      selector.Evaluate(selection::Query{{"missing"}}, s, bgloss, ctx, rng);
+  EXPECT_TRUE(single.use_shrinkage);
+  EXPECT_EQ(CounterValue("adaptive.gate_no_mixed_evidence") - gated0, 1u);
+}
+
 TEST(AdaptiveSelectorTest, GateCanBeDisabled) {
   sampling::SampleResult s = MakeSample(50000, 300);
   AdaptiveOptions options;

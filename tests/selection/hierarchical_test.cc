@@ -67,11 +67,14 @@ class HierarchicalTest : public ::testing::Test {
   std::vector<corpus::CategoryId> classifications_;
   std::unique_ptr<core::HierarchySummaries> aggregates_;
   std::unique_ptr<HierarchicalSelector> selector_;
+  // Fills every context by counting the summaries per query.
+  const ScoringStatisticsCache empty_statistics_;
 };
 
 TEST_F(HierarchicalTest, DescendsToTopicalDatabases) {
   BglossScorer bgloss;
-  const auto ranking = selector_->Select(Query{{"cardiac"}}, 2, bgloss);
+  const auto ranking =
+      selector_->Select(Query{{"cardiac"}}, 2, bgloss, empty_statistics_);
   ASSERT_EQ(ranking.size(), 2u);
   EXPECT_EQ(ranking[0].database, 0u);
   EXPECT_EQ(ranking[1].database, 1u);
@@ -84,7 +87,8 @@ TEST_F(HierarchicalTest, CommitsToBestCategoryEvenWhenThin) {
   // databases are returned before the Soccer database that also contains
   // "cardiac".
   BglossScorer bgloss;
-  const auto ranking = selector_->Select(Query{{"cardiac"}}, 3, bgloss);
+  const auto ranking =
+      selector_->Select(Query{{"cardiac"}}, 3, bgloss, empty_statistics_);
   ASSERT_EQ(ranking.size(), 3u);
   EXPECT_EQ(ranking[0].database, 0u);
   EXPECT_EQ(ranking[1].database, 1u);
@@ -93,13 +97,20 @@ TEST_F(HierarchicalTest, CommitsToBestCategoryEvenWhenThin) {
 
 TEST_F(HierarchicalTest, HonorsBudget) {
   BglossScorer bgloss;
-  EXPECT_EQ(selector_->Select(Query{{"cardiac"}}, 1, bgloss).size(), 1u);
-  EXPECT_EQ(selector_->Select(Query{{"goal"}}, 10, bgloss).size(), 2u);
+  EXPECT_EQ(
+      selector_->Select(Query{{"cardiac"}}, 1, bgloss, empty_statistics_)
+          .size(),
+      1u);
+  EXPECT_EQ(
+      selector_->Select(Query{{"goal"}}, 10, bgloss, empty_statistics_).size(),
+      2u);
 }
 
 TEST_F(HierarchicalTest, ReturnsNothingWithoutEvidence) {
   BglossScorer bgloss;
-  EXPECT_TRUE(selector_->Select(Query{{"nonexistent"}}, 5, bgloss).empty());
+  EXPECT_TRUE(
+      selector_->Select(Query{{"nonexistent"}}, 5, bgloss, empty_statistics_)
+          .empty());
 }
 
 TEST_F(HierarchicalTest, DatabasesClassifiedAtInternalNodesAreReachable) {
@@ -109,7 +120,8 @@ TEST_F(HierarchicalTest, DatabasesClassifiedAtInternalNodesAreReachable) {
   cls.push_back(health_);
   const auto selector = MakeSelector(cls);
   BglossScorer bgloss;
-  const auto ranking = selector->Select(Query{{"clinical"}}, 3, bgloss);
+  const auto ranking =
+      selector->Select(Query{{"clinical"}}, 3, bgloss, empty_statistics_);
   ASSERT_EQ(ranking.size(), 1u);
   EXPECT_EQ(ranking[0].database, 5u);
 }

@@ -1,7 +1,6 @@
 #include "fedsearch/util/thread_pool.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <numeric>
 #include <vector>
 
@@ -65,21 +64,6 @@ TEST(ThreadPoolTest, PerIndexSlotsMatchSerialResult) {
   ThreadPool pool8(8);
   pool8.ParallelFor(n, [&](size_t i) { parallel[i] = work(i); });
   for (size_t i = 0; i < n; ++i) EXPECT_EQ(serial[i], parallel[i]);
-}
-
-TEST(ThreadPoolTest, DefaultThreadCountHonorsEnv) {
-  // setenv/getenv are process-global; restore whatever was set.
-  const char* old = std::getenv("FEDSEARCH_THREADS");
-  const std::string saved = old != nullptr ? old : "";
-  setenv("FEDSEARCH_THREADS", "5", 1);
-  EXPECT_EQ(ThreadPool::DefaultThreadCount(), 5u);
-  setenv("FEDSEARCH_THREADS", "0", 1);  // invalid -> hardware fallback
-  EXPECT_GE(ThreadPool::DefaultThreadCount(), 1u);
-  if (old != nullptr) {
-    setenv("FEDSEARCH_THREADS", saved.c_str(), 1);
-  } else {
-    unsetenv("FEDSEARCH_THREADS");
-  }
 }
 
 }  // namespace
