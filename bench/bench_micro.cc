@@ -94,19 +94,14 @@ void BM_EmMixtureFit(benchmark::State& state) {
   const core::Metasearcher& meta = MicroMetasearcher();
   const auto& hs = meta.hierarchy_summaries();
   const corpus::TopicHierarchy& h = MicroTestbed().hierarchy();
-  const auto path = h.PathFromRoot(meta.classification(0));
-  std::vector<const summary::SummaryView*> categories;
-  for (size_t i = 0; i < path.size(); ++i) {
-    if (i + 1 < path.size()) {
-      categories.push_back(&hs.ExclusiveOfChild(path[i], path[i + 1]));
-    } else {
-      categories.push_back(&hs.ExclusiveOfDatabase(path[i], 0));
-    }
+  core::SummaryChain chain;
+  for (corpus::CategoryId c : h.PathFromRoot(meta.classification(0))) {
+    chain.push_back(&hs.aggregate(c));
   }
+  chain.push_back(&meta.plain_summary(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::FitMixtureWeights(
-        meta.plain_summary(0), categories, hs.uniform_probability(),
-        meta.sample(0).sample_size));
+        chain, hs.uniform_probability(), meta.sample(0).sample_size));
   }
 }
 BENCHMARK(BM_EmMixtureFit);

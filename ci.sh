@@ -46,7 +46,9 @@
 #                   perfbench/selftest.py: every workload smoke-run
 #                   untraced and traced, plus its negative cases; then
 #                   each workload BENCHMARK.json lists runs 1 s at full
-#                   shape and must report correct and 0 failed
+#                   shape and must report correct and 0 failed, untraced
+#                   and then traced, where the replay must also match
+#                   every ranking the program made
 #
 # The tidy and tsa jobs need a clang toolchain. Without one they skip
 # with a notice by default; set FEDSEARCH_CI_STRICT=1 to make a missing
@@ -376,6 +378,23 @@ print("%s: correct %s, attempted %s, failed %s" % (
     workload, result["correct"], result["attempted"], result["failed"]))
 if result["correct"] is not True or result["failed"] != 0:
     sys.exit("ci.sh: perfbench %s failed its full-shape run" % workload)
+PY
+  done
+  # The program prepares only the statistics each scorer reads, while the
+  # traced run's replay fills them all and compares the rankings: only this
+  # run sees the two diverge.
+  for workload in $workloads; do
+    echo "+ perfbench/run.py --workload $workload --seed 1 --seconds 1 --trace 1"
+    result="$(env CARGO_TARGET_DIR=build-ci/perfbench python3 perfbench/run.py \
+      --workload "$workload" --seed 1 --seconds 1 --trace 1 | tail -n 1)"
+    python3 - "$workload" "$result" <<'PY'
+import json, sys
+workload, result = sys.argv[1], json.loads(sys.argv[2])
+mismatches = result["metrics"]["replay.ranking_mismatches"]["value"]
+print("%s traced: correct %s, failed %s, replay.ranking_mismatches %s" % (
+    workload, result["correct"], result["failed"], mismatches))
+if result["correct"] is not True or result["failed"] != 0 or mismatches != 0:
+    sys.exit("ci.sh: perfbench %s failed its traced replay check" % workload)
 PY
   done
   end_job

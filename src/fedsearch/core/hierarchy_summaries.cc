@@ -1,49 +1,8 @@
 #include "fedsearch/core/hierarchy_summaries.h"
 
-#include <algorithm>
+#include <utility>
 
 namespace fedsearch::core {
-
-SubtractedSummary::SubtractedSummary(const summary::SummaryView* minuend,
-                                     const summary::SummaryView* subtrahend)
-    : minuend_(minuend), subtrahend_(subtrahend) {}
-
-double SubtractedSummary::num_documents() const {
-  return std::max(0.0, minuend_->num_documents() -
-                           subtrahend_->num_documents());
-}
-
-double SubtractedSummary::total_tokens() const {
-  return std::max(0.0, minuend_->total_tokens() - subtrahend_->total_tokens());
-}
-
-double SubtractedSummary::DocFrequency(const std::string& word) const {
-  return std::max(0.0,
-                  minuend_->DocFrequency(word) - subtrahend_->DocFrequency(word));
-}
-
-double SubtractedSummary::TokenFrequency(const std::string& word) const {
-  return std::max(0.0, minuend_->TokenFrequency(word) -
-                           subtrahend_->TokenFrequency(word));
-}
-
-void SubtractedSummary::ForEachWord(
-    const std::function<void(const std::string&, const summary::WordStats&)>&
-        fn) const {
-  minuend_->ForEachWord(
-      [&](const std::string& word, const summary::WordStats& stats) {
-        const summary::WordStats out{
-            std::max(0.0, stats.df - subtrahend_->DocFrequency(word)),
-            std::max(0.0, stats.ctf - subtrahend_->TokenFrequency(word))};
-        if (out.df > 0.0 || out.ctf > 0.0) fn(word, out);
-      });
-}
-
-size_t SubtractedSummary::vocabulary_size() const {
-  size_t n = 0;
-  ForEachWord([&](const std::string&, const summary::WordStats&) { ++n; });
-  return n;
-}
 
 HierarchySummaries::HierarchySummaries(
     const corpus::TopicHierarchy* hierarchy,
@@ -82,34 +41,6 @@ HierarchySummaries::HierarchySummaries(
 
   const size_t vocab = aggregates_[0].vocabulary_size();
   uniform_probability_ = vocab > 0 ? 1.0 / static_cast<double>(vocab) : 0.0;
-}
-
-const SubtractedSummary& HierarchySummaries::ExclusiveOfChild(
-    corpus::CategoryId category, corpus::CategoryId child_on_path) const {
-  const auto key = std::make_pair(category, child_on_path);
-  auto it = edge_exclusive_.find(key);
-  if (it == edge_exclusive_.end()) {
-    it = edge_exclusive_
-             .emplace(key, SubtractedSummary(
-                               &aggregates_[static_cast<size_t>(category)],
-                               &aggregates_[static_cast<size_t>(child_on_path)]))
-             .first;
-  }
-  return it->second;
-}
-
-const SubtractedSummary& HierarchySummaries::ExclusiveOfDatabase(
-    corpus::CategoryId category, size_t db_index) const {
-  const auto key = std::make_pair(category, db_index);
-  auto it = database_exclusive_.find(key);
-  if (it == database_exclusive_.end()) {
-    it = database_exclusive_
-             .emplace(key, SubtractedSummary(
-                               &aggregates_[static_cast<size_t>(category)],
-                               database_summaries_[db_index]))
-             .first;
-  }
-  return it->second;
 }
 
 }  // namespace fedsearch::core

@@ -2,9 +2,6 @@
 #define FEDSEARCH_CORE_HIERARCHY_SUMMARIES_H_
 
 #include <cstddef>
-#include <map>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "fedsearch/corpus/topic_hierarchy.h"
@@ -12,40 +9,14 @@
 
 namespace fedsearch::core {
 
-// A lazily-subtracted summary: `minuend` minus `subtrahend`, clamped at
-// zero. Used to implement Definition 4's overlap rule — "we subtract from
-// S(Ci) all the data used to construct S(Ci+1)" — without materializing a
-// summary per (category, child) pair per database.
-class SubtractedSummary : public summary::SummaryView {
- public:
-  // Both views must outlive this object. The subtrahend's data must be a
-  // subset of the minuend's (a child subtree of the aggregated category).
-  SubtractedSummary(const summary::SummaryView* minuend,
-                    const summary::SummaryView* subtrahend);
-
-  double num_documents() const override;
-  double total_tokens() const override;
-  double DocFrequency(const std::string& word) const override;
-  double TokenFrequency(const std::string& word) const override;
-  void ForEachWord(
-      const std::function<void(const std::string&,
-                               const summary::WordStats&)>& fn) const override;
-  size_t vocabulary_size() const override;
-
- private:
-  const summary::SummaryView* minuend_;
-  const summary::SummaryView* subtrahend_;
-};
-
-// Category content summaries (Definition 3) over a topic hierarchy, plus
-// the sibling-exclusive views shrinkage needs.
+// Category content summaries (Definition 3) over a topic hierarchy.
 //
 // For every category C, aggregate(C) combines the approximate summaries of
 // all databases classified in C's subtree, size-weighted per Equation 1.
-// For a database D with path C1, ..., Cm, the summary used at level i is
-// aggregate(Ci) minus aggregate(Ci+1) — and at level m, aggregate(Cm)
-// minus S(D) itself — so the mixture components of Definition 4 draw on
-// disjoint data.
+// Shrinkage mixes a database D with path C1, ..., Cm over its chain
+// aggregate(C1), ..., aggregate(Cm), S(D), taking each level exclusive of
+// the next (core/shrinkage.h), so the mixture components of Definition 4
+// draw on disjoint data.
 class HierarchySummaries {
  public:
   // `hierarchy` and the summaries must outlive this object.
@@ -69,15 +40,6 @@ class HierarchySummaries {
     return aggregates_[0];
   }
 
-  // aggregate(category) minus aggregate(child_on_path); cached per edge.
-  const SubtractedSummary& ExclusiveOfChild(
-      corpus::CategoryId category, corpus::CategoryId child_on_path) const;
-
-  // aggregate(category) minus database `db_index`'s own summary (the level-m
-  // component for that database). Cached per database.
-  const SubtractedSummary& ExclusiveOfDatabase(corpus::CategoryId category,
-                                               size_t db_index) const;
-
   // Uniform word probability of the dummy category C0: 1 / |V| over the
   // union vocabulary of all approximate summaries.
   double uniform_probability() const { return uniform_probability_; }
@@ -96,13 +58,6 @@ class HierarchySummaries {
   std::vector<corpus::CategoryId> classifications_;
   std::vector<summary::ContentSummary> aggregates_;
   double uniform_probability_ = 0.0;
-  // Keyed by (parent, child) edge / by database index. std::map keeps
-  // pointer stability irrelevant: values are node-allocated.
-  mutable std::map<std::pair<corpus::CategoryId, corpus::CategoryId>,
-                   SubtractedSummary>
-      edge_exclusive_;
-  mutable std::map<std::pair<corpus::CategoryId, size_t>, SubtractedSummary>
-      database_exclusive_;
 };
 
 }  // namespace fedsearch::core

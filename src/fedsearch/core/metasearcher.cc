@@ -204,8 +204,8 @@ Metasearcher::SelectionOutcome Metasearcher::SelectDatabases(
       }
       decision_context.global_summary =
           &hierarchy_summaries_->root_aggregate();
-      plain_statistics_.FillContext(query, decision_context,
-                                    adaptive_span.context());
+      scorer.PrepareContext(query, plain_statistics_, decision_context,
+                            adaptive_span.context());
 
       // The decision is exact and deterministic, so it is the same for any
       // thread count. Evaluate never reads its Rng parameter; one
@@ -329,9 +329,11 @@ Metasearcher::SelectionOutcome Metasearcher::SelectDatabases(
     selection::ScoringContext context;
     context.ranked_summaries = chosen;
     context.global_summary = &hierarchy_summaries_->root_aggregate();
-    (mode == SummaryMode::kUniversalShrinkage ? ShrunkStatistics()
-                                              : plain_statistics_)
-        .FillContext(query, context, scoring_span.context());
+    scorer.PrepareContext(query,
+                          mode == SummaryMode::kUniversalShrinkage
+                              ? ShrunkStatistics()
+                              : plain_statistics_,
+                          context, scoring_span.context());
     outcome.ranking =
         selection::RankDatabases(query, chosen, scorer, context, pool_.get());
   }

@@ -137,9 +137,10 @@ class Metasearcher {
   // Materialized posterior grids across all databases.
   size_t posterior_cache_size() const { return posterior_cache_->size(); }
   // Corpus statistics (cf(w) over the full vocabulary, mean collection
-  // word count) of the unshrunk summaries, built with the snapshot. Every
-  // SelectDatabases context is filled from it, except universal mode's,
-  // which is filled from the shrunk summaries' statistics.
+  // word count) of the unshrunk summaries, built with the snapshot. The
+  // scorer prepares every SelectDatabases context from it, except
+  // universal mode's, which it prepares from the shrunk summaries'
+  // statistics.
   const selection::ScoringStatisticsCache& plain_statistics() const {
     return plain_statistics_;
   }
@@ -187,10 +188,12 @@ class Metasearcher {
   // untouched by all of this, including their parallel fan-out.
   //
   // `trace` (optional) parents this call's spans — select_databases,
-  // adaptive_evaluation, statistics_cache_fill, posterior_grid_build,
-  // scoring — under the caller's request trace. Purely observational: an
-  // inactive context (the default) and a disabled tracer both cost one
-  // relaxed load, and recorded timings never flow back into scores.
+  // adaptive_evaluation, statistics_cache_fill (for a scorer whose
+  // PrepareContext fills the corpus statistics, as CORI's does),
+  // posterior_grid_build, scoring — under the caller's request trace.
+  // Purely observational: an inactive context (the default) and a
+  // disabled tracer both cost one relaxed load, and recorded timings
+  // never flow back into scores.
   SelectionOutcome SelectDatabases(const selection::Query& query,
                                    const selection::ScoringFunction& scorer,
                                    SummaryMode mode,

@@ -11,19 +11,98 @@
 
 namespace fedsearch::core {
 
-ShrunkSummary::ShrunkSummary(
-    std::vector<const summary::SummaryView*> components,
-    std::vector<double> lambdas, double uniform_probability)
-    : components_(std::move(components)),
+namespace {
+
+constexpr summary::WordStats kAbsent{};
+
+// The word's statistics in one chain summary: one map probe.
+const summary::WordStats& Probe(const summary::ContentSummary& summary,
+                                const std::string& word) {
+  const auto it = summary.words().find(word);
+  return it == summary.words().end() ? kAbsent : it->second;
+}
+
+// The part of a level's value the next level does not use, clamped at
+// zero.
+double Exclusive(double level, double next) {
+  return std::max(0.0, level - next);
+}
+
+summary::WordStats Exclusive(const summary::WordStats& level,
+                             const summary::WordStats& next) {
+  return summary::WordStats{Exclusive(level.df, next.df),
+                            Exclusive(level.ctf, next.ctf)};
+}
+
+// min(1, x / total), 0 when total <= 0: SummaryView::ProbDoc's and
+// ProbToken's arithmetic.
+double Probability(double x, double total) {
+  return total <= 0.0 ? 0.0 : std::min(1.0, x / total);
+}
+
+// Chain level i's document count |C| and token count cw.
+double LevelDocuments(const SummaryChain& chain, size_t i) {
+  const double n = chain[i]->num_documents();
+  return i + 1 < chain.size() ? Exclusive(n, chain[i + 1]->num_documents())
+                              : n;
+}
+
+double LevelTokens(const SummaryChain& chain, size_t i) {
+  const double tokens = chain[i]->total_tokens();
+  return i + 1 < chain.size() ? Exclusive(tokens, chain[i + 1]->total_tokens())
+                              : tokens;
+}
+
+// The per-word kernel: calls fn(i, stats) for every chain level i in
+// order with the word's statistics at that level, probing each chain
+// summary once.
+template <typename Fn>
+void ForEachLevel(const SummaryChain& chain, const std::string& word,
+                  Fn&& fn) {
+  const summary::WordStats* stats = &Probe(*chain[0], word);
+  for (size_t i = 0; i + 1 < chain.size(); ++i) {
+    const summary::WordStats& next = Probe(*chain[i + 1], word);
+    fn(i, Exclusive(*stats, next));
+    stats = &next;
+  }
+  fn(chain.size() - 1, *stats);
+}
+
+// Calls fn(word, stats) for the words of chain level i, in chain[i]'s map
+// order, with their statistics at that level; an inner level skips words
+// whose df and ctf are both zero there. One probe of chain[i + 1] per
+// word.
+template <typename Fn>
+void ForEachLevelWord(const SummaryChain& chain, size_t i, Fn&& fn) {
+  const bool inner = i + 1 < chain.size();
+  // ORDER-INDEPENDENT: each word's level statistics are independent of the
+  // visit order; visiting in map order, as ContentSummary::ForEachWord
+  // does, keeps the insertion order of callers' accumulators.
+  for (const auto& [word, stats] : chain[i]->words()) {
+    if (!inner) {
+      fn(word, stats);
+      continue;
+    }
+    const summary::WordStats level =
+        Exclusive(stats, Probe(*chain[i + 1], word));
+    if (level.df > 0.0 || level.ctf > 0.0) fn(word, level);
+  }
+}
+
+}  // namespace
+
+ShrunkSummary::ShrunkSummary(SummaryChain chain, std::vector<double> lambdas,
+                             double uniform_probability)
+    : chain_(std::move(chain)),
       lambdas_(std::move(lambdas)),
       uniform_probability_(uniform_probability) {
-  // Definition 4 mixture shape: one λ for C0 plus one per component, all
+  // Definition 4 mixture shape: one λ for C0 plus one per chain level, all
   // on the probability simplex. A violation here poisons every score this
   // summary ever produces, so it is checked in all builds.
-  FEDSEARCH_CHECK(!components_.empty());
-  FEDSEARCH_CHECK(lambdas_.size() == components_.size() + 1)
-      << " got " << lambdas_.size() << " lambdas for "
-      << components_.size() << " components";
+  FEDSEARCH_CHECK(!chain_.empty());
+  FEDSEARCH_CHECK(lambdas_.size() == chain_.size() + 1)
+      << " got " << lambdas_.size() << " lambdas for a chain of "
+      << chain_.size();
   double sum = 0.0;
   for (double l : lambdas_) {
     FEDSEARCH_CHECK(l >= 0.0 && l <= 1.0 + 1e-9) << " lambda " << l;
@@ -36,18 +115,18 @@ ShrunkSummary::ShrunkSummary(
 }
 
 double ShrunkSummary::num_documents() const {
-  return components_.back()->num_documents();
+  return chain_.back()->num_documents();
 }
 
 double ShrunkSummary::total_tokens() const {
-  return components_.back()->total_tokens();
+  return chain_.back()->total_tokens();
 }
 
 double ShrunkSummary::MixtureProbDoc(const std::string& word) const {
   double p = lambdas_[0] * uniform_probability_;
-  for (size_t i = 0; i < components_.size(); ++i) {
-    p += lambdas_[i + 1] * components_[i]->ProbDoc(word);
-  }
+  ForEachLevel(chain_, word, [&](size_t i, const summary::WordStats& stats) {
+    p += lambdas_[i + 1] * Probability(stats.df, LevelDocuments(chain_, i));
+  });
   FEDSEARCH_DCHECK(p >= 0.0 && std::isfinite(p))
       << " mixture doc probability " << p << " for " << word;
   return std::min(1.0, p);
@@ -55,9 +134,9 @@ double ShrunkSummary::MixtureProbDoc(const std::string& word) const {
 
 double ShrunkSummary::MixtureProbToken(const std::string& word) const {
   double p = lambdas_[0] * uniform_probability_;
-  for (size_t i = 0; i < components_.size(); ++i) {
-    p += lambdas_[i + 1] * components_[i]->ProbToken(word);
-  }
+  ForEachLevel(chain_, word, [&](size_t i, const summary::WordStats& stats) {
+    p += lambdas_[i + 1] * Probability(stats.ctf, LevelTokens(chain_, i));
+  });
   FEDSEARCH_DCHECK(p >= 0.0 && std::isfinite(p))
       << " mixture token probability " << p << " for " << word;
   return std::min(1.0, p);
@@ -74,9 +153,9 @@ double ShrunkSummary::TokenFrequency(const std::string& word) const {
 void ShrunkSummary::ForEachWord(
     const std::function<void(const std::string&, const summary::WordStats&)>&
         fn) const {
-  // Union over the component vocabularies, computed in a single
-  // accumulation pass (one hash probe per component word) instead of
-  // re-querying every component per word. The uniform C0 assigns mass to
+  // Union over the level vocabularies, computed in a single accumulation
+  // pass (one probe of the next chain summary per level word) instead of
+  // re-querying every level per word. The uniform C0 assigns mass to
   // every conceivable word and is by construction not enumerable; it only
   // contributes to the probabilities of enumerated words.
   struct Probs {
@@ -84,20 +163,19 @@ void ShrunkSummary::ForEachWord(
     double token = 0.0;
   };
   std::unordered_map<std::string, Probs> acc;
-  for (size_t i = 0; i < components_.size(); ++i) {
-    const summary::SummaryView* component = components_[i];
+  for (size_t i = 0; i < chain_.size(); ++i) {
     const double lambda = lambdas_[i + 1];
-    const double n = component->num_documents();
-    const double tokens = component->total_tokens();
+    const double n = LevelDocuments(chain_, i);
+    const double tokens = LevelTokens(chain_, i);
     if (lambda <= 0.0 || n <= 0.0) continue;
-    component->ForEachWord(
-        [&](const std::string& word, const summary::WordStats& stats) {
-          Probs& p = acc[word];
-          p.doc += lambda * std::min(1.0, stats.df / n);
-          if (tokens > 0.0) {
-            p.token += lambda * std::min(1.0, stats.ctf / tokens);
-          }
-        });
+    ForEachLevelWord(chain_, i, [&](const std::string& word,
+                                    const summary::WordStats& stats) {
+      Probs& p = acc[word];
+      p.doc += lambda * std::min(1.0, stats.df / n);
+      if (tokens > 0.0) {
+        p.token += lambda * std::min(1.0, stats.ctf / tokens);
+      }
+    });
   }
   const double uniform = lambdas_[0] * uniform_probability_;
   const double n = num_documents();
@@ -113,20 +191,19 @@ void ShrunkSummary::ForEachWord(
 
 size_t ShrunkSummary::vocabulary_size() const {
   std::unordered_set<std::string> words;
-  for (const summary::SummaryView* component : components_) {
-    component->ForEachWord(
-        [&](const std::string& word, const summary::WordStats&) {
-          words.insert(word);
-        });
+  for (size_t i = 0; i < chain_.size(); ++i) {
+    ForEachLevelWord(chain_, i,
+                     [&](const std::string& word, const summary::WordStats&) {
+                       words.insert(word);
+                     });
   }
   return words.size();
 }
 
-std::vector<double> FitMixtureWeights(
-    const summary::ContentSummary& database_summary,
-    const std::vector<const summary::SummaryView*>& categories,
-    double uniform_probability, size_t sample_size,
-    const ShrinkageOptions& options) {
+std::vector<double> FitMixtureWeights(const SummaryChain& chain,
+                                      double uniform_probability,
+                                      size_t sample_size,
+                                      const ShrinkageOptions& options) {
   static util::Counter& fits = util::GlobalMetrics().counter("em.fits");
   static util::Counter& converged =
       util::GlobalMetrics().counter("em.converged");
@@ -140,7 +217,9 @@ std::vector<double> FitMixtureWeights(
   util::ScopedTimer fit_timer(fit_ns);
   fits.Add();
 
-  const size_t m = categories.size();
+  FEDSEARCH_CHECK(!chain.empty());
+  const summary::ContentSummary& database_summary = *chain.back();
+  const size_t m = chain.size() - 1;
   const size_t k = m + 2;  // uniform + categories + database
   const double deleted_mass =
       sample_size > 0 ? 1.0 / static_cast<double>(sample_size) : 0.0;
@@ -150,21 +229,28 @@ std::vector<double> FitMixtureWeights(
   // C0, C1..Cm, D. The database column uses the deleted (cross-validated)
   // estimate, and each word carries its sample document frequency as
   // observation weight — see the header comment.
+  std::vector<double> level_documents(chain.size());
+  for (size_t i = 0; i < chain.size(); ++i) {
+    level_documents[i] = LevelDocuments(chain, i);
+  }
   std::vector<double> probs;  // row-major, k columns
   std::vector<double> weights;
   size_t rows = 0;
   database_summary.ForEachWord(
       [&](const std::string& word, const summary::WordStats&) {
         probs.push_back(uniform_probability);
-        for (const summary::SummaryView* c : categories) {
-          probs.push_back(c->ProbDoc(word));
-        }
-        const double p_db = database_summary.ProbDoc(word);
-        probs.push_back(std::max(0.0, p_db - deleted_mass));
-        weights.push_back(
-            sample_size > 0
-                ? std::max(1.0, p_db * static_cast<double>(sample_size))
-                : 1.0);
+        ForEachLevel(chain, word, [&](size_t i, const summary::WordStats& s) {
+          const double p = Probability(s.df, level_documents[i]);
+          if (i < m) {
+            probs.push_back(p);
+            return;
+          }
+          probs.push_back(std::max(0.0, p - deleted_mass));
+          weights.push_back(
+              sample_size > 0
+                  ? std::max(1.0, p * static_cast<double>(sample_size))
+                  : 1.0);
+        });
         ++rows;
       });
 
@@ -237,30 +323,22 @@ ShrinkageModel::ShrinkageModel(const HierarchySummaries* hierarchy_summaries,
     const corpus::CategoryId category = summaries_->classification(db);
     std::vector<corpus::CategoryId> path = h.PathFromRoot(category);
 
-    // Level components, each exclusive of the data the next level uses
-    // (Definition 4's footnote): aggregate(Ci) − aggregate(Ci+1), and at
-    // the classification node, aggregate(Cm) − S(D).
-    std::vector<const summary::SummaryView*> components;
-    components.reserve(path.size() + 1);
-    for (size_t i = 0; i < path.size(); ++i) {
-      if (i + 1 < path.size()) {
-        components.push_back(
-            &summaries_->ExclusiveOfChild(path[i], path[i + 1]));
-      } else {
-        components.push_back(&summaries_->ExclusiveOfDatabase(path[i], db));
-      }
+    // The levels' exclusive data is taken from the chain per word
+    // (Definition 4's footnote; see SummaryChain).
+    SummaryChain chain;
+    chain.reserve(path.size() + 1);
+    for (corpus::CategoryId c : path) {
+      chain.push_back(&summaries_->aggregate(c));
     }
-    components.push_back(&summaries_->database_summary(db));
+    chain.push_back(&summaries_->database_summary(db));
 
     const size_t sample_size =
         db < sample_sizes.size() ? sample_sizes[db] : 0;
     std::vector<double> lambdas =
-        FitMixtureWeights(summaries_->database_summary(db),
-                          {components.begin(), components.end() - 1},
-                          summaries_->uniform_probability(), sample_size,
-                          options);
+        FitMixtureWeights(chain, summaries_->uniform_probability(),
+                          sample_size, options);
     shrunk_.push_back(std::make_unique<ShrunkSummary>(
-        std::move(components), std::move(lambdas),
+        std::move(chain), std::move(lambdas),
         summaries_->uniform_probability()));
     paths_.push_back(std::move(path));
   }

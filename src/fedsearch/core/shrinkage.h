@@ -18,23 +18,31 @@ struct ShrinkageOptions {
   size_t max_iterations = 500;
 };
 
+// A database's chain: the category aggregates of its path C1..Cm, root
+// first, then its own sample summary S(D). Level i < m of the chain is
+// chain[i] − chain[i + 1], clamped at zero in df, ctf, |C| and cw —
+// Definition 4's overlap rule, "we subtract from S(Ci) all the data used
+// to construct S(Ci+1)" — and level m is S(D) itself, so the mixture
+// components draw on disjoint data. A word's levels come from one map
+// probe per chain summary.
+using SummaryChain = std::vector<const summary::ContentSummary*>;
+
 // The shrunk content summary R(D) of Definition 4, as a lazy view:
 //   p̂_R(w|D) = λ_0·p̂(w|C0) + Σ_{i=1..m} λ_i·p̂(w|Ci) + λ_{m+1}·p̂(w|D)
 // where C0 is the uniform dummy category, C1..Cm the database's category
 // path (root first), each taken exclusive of the next level's data, and D
-// the database's own sample summary.
+// the database's own sample summary: the levels of its chain.
 //
 // DocFrequency/TokenFrequency report p̂_R scaled by the database's
 // estimated size, so selection algorithms consume shrunk and unshrunk
 // summaries through the same interface.
 class ShrunkSummary : public summary::SummaryView {
  public:
-  // components[i] pairs with lambdas[i + 1]; lambdas[0] is the uniform
-  // category's weight and lambdas.back() the database's own. The last
-  // component must be the database summary itself. All referenced views
-  // must outlive this object.
-  ShrunkSummary(std::vector<const summary::SummaryView*> components,
-                std::vector<double> lambdas, double uniform_probability);
+  // lambdas[0] is the uniform category's weight and lambdas[i + 1] chain
+  // level i's, so lambdas.back() is the database's own. Every summary of
+  // the chain must outlive this object.
+  ShrunkSummary(SummaryChain chain, std::vector<double> lambdas,
+                double uniform_probability);
 
   double num_documents() const override;
   double total_tokens() const override;
@@ -54,15 +62,15 @@ class ShrunkSummary : public summary::SummaryView {
  private:
   double MixtureProbToken(const std::string& word) const;
 
-  std::vector<const summary::SummaryView*> components_;  // C1..Cm, then D
-  std::vector<double> lambdas_;                          // C0, C1..Cm, D
+  SummaryChain chain_;           // C1..Cm, then D
+  std::vector<double> lambdas_;  // C0, C1..Cm, D
   double uniform_probability_;
 };
 
 // Fits the category mixture weights λ0..λ_{m+1} for one database with the
-// expectation-maximization procedure of Figure 2. `categories` holds the
-// (exclusive) level summaries C1..Cm root-first; the β sums run over the
-// words of the database's own sample summary, as in the paper.
+// expectation-maximization procedure of Figure 2, over the levels of the
+// database's chain (C1..Cm exclusive, then S(D) = chain.back()); the β
+// sums run over the words of S(D), as in the paper.
 //
 // `sample_size` (|S|, the number of documents behind S(D)) enables the
 // cross-validated EM of McCallum et al. [22], the paper's source for
@@ -75,11 +83,10 @@ class ShrunkSummary : public summary::SummaryView {
 // the uncorrected textbook iteration.
 //
 // Returns m + 2 weights ordered: uniform C0, C1..Cm, database.
-std::vector<double> FitMixtureWeights(
-    const summary::ContentSummary& database_summary,
-    const std::vector<const summary::SummaryView*>& categories,
-    double uniform_probability, size_t sample_size,
-    const ShrinkageOptions& options = {});
+std::vector<double> FitMixtureWeights(const SummaryChain& chain,
+                                      double uniform_probability,
+                                      size_t sample_size,
+                                      const ShrinkageOptions& options = {});
 
 // Shrinkage over a whole federation: builds category summaries, fits λ for
 // every database, and exposes the shrunk summaries R(D). This is the

@@ -96,7 +96,7 @@ std::vector<RankedDatabase> HierarchicalSelector::Select(
   ScoringContext context;
   context.ranked_summaries = summaries_;
   context.global_summary = category_summaries_[0];
-  statistics.FillContext(query, context);
+  scorer.PrepareContext(query, statistics, context);
 
   std::vector<RankedDatabase> out;
   SelectUnder(query, hierarchy_->root(), k, scorer, context, out);

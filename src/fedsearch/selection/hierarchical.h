@@ -34,9 +34,10 @@ class HierarchicalSelector {
       std::vector<const summary::SummaryView*> category_summaries);
 
   // Returns up to k databases for the query, most promising first.
-  // `statistics` fills the corpus statistics over the database summaries:
-  // a cache built over exactly `summaries`, or an empty one, which counts
-  // them per query. Both fill the same values.
+  // The scorer prepares its context from `statistics`, the corpus
+  // statistics over the database summaries: a cache built over exactly
+  // `summaries`, or an empty one, which counts them per query. Both fill
+  // the same values.
   std::vector<RankedDatabase> Select(
       const Query& query, size_t k, const ScoringFunction& scorer,
       const ScoringStatisticsCache& statistics) const;

@@ -15,6 +15,11 @@ class LmScorer : public ScoringFunction {
   explicit LmScorer(double lambda = 0.5) : lambda_(lambda) {}
 
   std::string_view name() const override { return "LM"; }
+  // Fills only term_global_prob, the one statistic LM reads.
+  void PrepareContext(const Query& query,
+                      const ScoringStatisticsCache& statistics,
+                      ScoringContext& context,
+                      const util::TraceContext& trace = {}) const override;
   double Score(const Query& query, const summary::SummaryView& db,
                const ScoringContext& context) const override;
   double DefaultScore(const Query& query, const summary::SummaryView& db,

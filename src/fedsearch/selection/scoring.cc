@@ -5,6 +5,13 @@
 
 namespace fedsearch::selection {
 
+void ScoringFunction::PrepareContext(const Query& query,
+                                     const ScoringStatisticsCache& statistics,
+                                     ScoringContext& context,
+                                     const util::TraceContext& trace) const {
+  statistics.FillContext(query, context, trace);
+}
+
 double ScoringFunction::FinalizeScore(const Query&, double combined) const {
   return combined;
 }
@@ -26,10 +33,42 @@ double MeanCollectionWords(
   return mean;
 }
 
+// The position of the first occurrence of query.terms[i]: a repeated
+// term copies the entry its first occurrence computed.
+size_t FirstOccurrence(const Query& query, size_t i) {
+  size_t j = 0;
+  while (query.terms[j] != query.terms[i]) ++j;
+  return j;
+}
+
 }  // namespace
 
 void PrepareContextForQuery(const Query& query, ScoringContext& context) {
   ScoringStatisticsCache().FillContext(query, context);
+}
+
+void FillGlobalProbabilities(const Query& query, ScoringContext& context) {
+  const size_t terms = query.terms.size();
+  context.term_global_prob.resize(terms);
+  for (size_t i = 0; i < terms; ++i) {
+    const size_t first = FirstOccurrence(query, i);
+    if (first < i) {
+      context.term_global_prob[i] = context.term_global_prob[first];
+    } else {
+      context.term_global_prob[i] =
+          context.global_summary != nullptr
+              ? context.global_summary->ProbToken(query.terms[i])
+              : 0.0;
+    }
+  }
+}
+
+void CheckPreparedFor(std::string_view scorer, const Query& query,
+                      size_t prepared_terms) {
+  FEDSEARCH_CHECK(prepared_terms >= query.terms.size())
+      << " " << scorer << " scored a " << query.terms.size()
+      << "-term query from a context prepared for " << prepared_terms
+      << " terms";
 }
 
 ScoringStatisticsCache::ScoringStatisticsCache(
@@ -122,18 +161,24 @@ void ScoringStatisticsCache::FillContext(
   for (size_t i = 0; i < ranked.size(); ++i) {
     if (empty || ranked[i] != summaries_[i]) differs.push_back(i);
   }
-  context.cached_mean_cw =
-      differs.empty() ? mean_cw_ : MeanCollectionWords(ranked);
-  context.cached_cf.clear();
-  for (const std::string& w : query.terms) {
-    if (context.cached_cf.count(w)) continue;
+  context.mean_cw = differs.empty() ? mean_cw_ : MeanCollectionWords(ranked);
+  const size_t terms = query.terms.size();
+  context.term_cf.resize(terms);
+  for (size_t t = 0; t < terms; ++t) {
+    const size_t first = FirstOccurrence(query, t);
+    if (first < t) {
+      context.term_cf[t] = context.term_cf[first];
+      continue;
+    }
+    const std::string& w = query.terms[t];
     long long cf = static_cast<long long>(CollectionFrequency(w));
     for (size_t i : differs) {
       if (ranked[i]->ContainsRounded(w)) ++cf;
       if (!empty && summaries_[i]->ContainsRounded(w)) --cf;
     }
-    context.cached_cf.emplace(w, cf > 0 ? static_cast<size_t>(cf) : 0);
+    context.term_cf[t] = cf > 0 ? static_cast<size_t>(cf) : 0;
   }
+  FillGlobalProbabilities(query, context);
 }
 
 }  // namespace fedsearch::selection

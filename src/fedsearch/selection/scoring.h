@@ -29,18 +29,33 @@ struct ScoringContext {
   // experiments); required by LM.
   const summary::SummaryView* global_summary = nullptr;
 
-  // Corpus statistics over ranked_summaries for one query's terms, written
-  // only by ScoringStatisticsCache::FillContext (PrepareContextForQuery is
-  // a fill from an empty cache). Required by CORI: it aborts when asked
-  // for the cf(w) of a term the context was not filled for.
-  std::unordered_map<std::string, size_t> cached_cf;
-  double cached_mean_cw = 0.0;
+  // One query's statistics, indexed by query position (a repeated term
+  // repeats its entry), written by the scorer's PrepareContext or by
+  // ScoringStatisticsCache::FillContext, which writes all of them. A
+  // scorer reads them for exactly the query they were prepared for; CORI
+  // and LM abort when their vector is shorter than the query.
+  //
+  // cf(w) of each position's term over ranked_summaries, and the mean
+  // collection word count over them (CORI).
+  std::vector<size_t> term_cf;
+  double mean_cw = 0.0;
+  // p̂(w|G) of each position's term, 0 without a global summary (LM).
+  std::vector<double> term_global_prob;
 };
 
-// Fills the context's statistics for the query's terms over
+// Fills every statistic of the context for the query's terms over
 // context.ranked_summaries by direct count: FillContext from an empty
 // cache, O(query terms × databases). Call once per (query, summary set).
 void PrepareContextForQuery(const Query& query, ScoringContext& context);
+
+// Fills context.term_global_prob for the query's terms from
+// context.global_summary: one probe per distinct term.
+void FillGlobalProbabilities(const Query& query, ScoringContext& context);
+
+// Aborts, naming `scorer`, unless a per-position statistics vector of
+// `prepared_terms` entries covers every position of `query`.
+void CheckPreparedFor(std::string_view scorer, const Query& query,
+                      size_t prepared_terms);
 
 // Corpus statistics of one summary set — cf(w) over the full vocabulary
 // and the mean collection word count — and the one routine that turns
@@ -86,15 +101,16 @@ class ScoringStatisticsCache {
   size_t num_summaries() const { return summaries_.size(); }
   size_t vocabulary_size() const { return cf_.size(); }
 
-  // Fills context.cached_cf / cached_mean_cw for the query's terms over
-  // context.ranked_summaries, replacing any earlier fill. Starts from
-  // this cache's values and, for every position where the context ranks a
-  // different summary than the cache was built over (adaptive shrinkage,
-  // category fallback; every position for an empty cache), applies a ±1
-  // cf correction per term and recomputes mean cw over the ranked set.
-  // O(query terms × differing positions + databases). Aborts when a
-  // non-empty cache was built over a different number of summaries than
-  // the context ranks.
+  // Fills every statistic of the context for the query's terms —
+  // term_cf and mean_cw over context.ranked_summaries, and
+  // term_global_prob — replacing any earlier fill, so the context serves
+  // every scorer. Starts from this cache's values and, for every position
+  // where the context ranks a different summary than the cache was built
+  // over (adaptive shrinkage, category fallback; every position for an
+  // empty cache), applies a ±1 cf correction per term and recomputes mean
+  // cw over the ranked set. O(query terms × differing positions +
+  // databases). Aborts when a non-empty cache was built over a different
+  // number of summaries than the context ranks.
   //
   // `trace` (optional) records the fill as a statistics_cache_fill span
   // under the caller's request trace; observational only.
@@ -126,6 +142,16 @@ class ScoringFunction {
   virtual ~ScoringFunction() = default;
 
   virtual std::string_view name() const = 0;
+
+  // Fills what this scorer reads of `context`'s per-query statistics for
+  // `query`, from `statistics` (built over context.ranked_summaries, or
+  // empty). Call it once per (query, ranked set) before scoring that
+  // query. The default is the full statistics.FillContext, which CORI
+  // uses; LM fills only term_global_prob and bGlOSS nothing.
+  virtual void PrepareContext(const Query& query,
+                              const ScoringStatisticsCache& statistics,
+                              ScoringContext& context,
+                              const util::TraceContext& trace = {}) const;
 
   // Score of database `db` for `query`. Higher is better.
   [[nodiscard]] virtual double Score(const Query& query,

@@ -642,6 +642,7 @@ TEST(AdaptiveSelectorTest, LongProductQueryMomentsStayFinite) {
   const selection::ScoringFunction* scorers[] = {&bgloss, &lm};
   AdaptiveSummarySelector selector;
   selection::ScoringContext ctx;  // LM without global smoothing
+  selection::PrepareContextForQuery(query, ctx);
   for (const selection::ScoringFunction* scorer : scorers) {
     ASSERT_EQ(LinearSecondMomentProduct(query, s, *scorer, ctx), 0.0)
         << scorer->name();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "fedsearch/core/shrinkage.h"
+
 namespace fedsearch::core {
 namespace {
 
@@ -62,31 +64,28 @@ TEST_F(HierarchySummariesTest, Equation1SizeWeighting) {
   EXPECT_DOUBLE_EQ(hs_->aggregate(heart_).ProbDoc("cardiac"), 110.0 / 400.0);
 }
 
-TEST_F(HierarchySummariesTest, ExclusiveOfChildSubtractsSubtree) {
-  // Health exclusive of Heart = db2 only.
-  const auto& excl = hs_->ExclusiveOfChild(health_, heart_);
-  EXPECT_DOUBLE_EQ(excl.num_documents(), 200.0);
-  EXPECT_DOUBLE_EQ(excl.DocFrequency("clinical"), 80.0);
-  EXPECT_DOUBLE_EQ(excl.DocFrequency("cardiac"), 0.0);
-  EXPECT_DOUBLE_EQ(excl.DocFrequency("shared"), 20.0);
+// Shrinkage takes each level of a database's chain exclusive of the next
+// (core/shrinkage.h). A ShrunkSummary with all of its weight on chain
+// level 0 reads that level alone: p̂_R(w|D) = p̂(w|level 0).
+TEST_F(HierarchySummariesTest, ChainLevelExcludesChildSubtree) {
+  // On the chain Health → Heart → db0, Health's level is db2 only.
+  const ShrunkSummary level(
+      {&hs_->aggregate(health_), &hs_->aggregate(heart_),
+       &hs_->database_summary(0)},
+      {0.0, 1.0, 0.0, 0.0}, /*uniform_probability=*/0.0);
+  EXPECT_DOUBLE_EQ(level.MixtureProbDoc("clinical"), 80.0 / 200.0);
+  EXPECT_DOUBLE_EQ(level.MixtureProbDoc("cardiac"), 0.0);
+  EXPECT_DOUBLE_EQ(level.MixtureProbDoc("shared"), 20.0 / 200.0);
 }
 
-TEST_F(HierarchySummariesTest, ExclusiveOfDatabaseSubtractsOneDb) {
-  // Heart exclusive of db0 = db1 only.
-  const auto& excl = hs_->ExclusiveOfDatabase(heart_, 0);
-  EXPECT_DOUBLE_EQ(excl.num_documents(), 300.0);
-  EXPECT_DOUBLE_EQ(excl.DocFrequency("cardiac"), 60.0);
-  EXPECT_DOUBLE_EQ(excl.DocFrequency("hypertension"), 30.0);
-  EXPECT_DOUBLE_EQ(excl.DocFrequency("shared"), 0.0);
-}
-
-TEST_F(HierarchySummariesTest, ExclusiveViewsAreCached) {
-  const auto& a = hs_->ExclusiveOfChild(health_, heart_);
-  const auto& b = hs_->ExclusiveOfChild(health_, heart_);
-  EXPECT_EQ(&a, &b);
-  const auto& c = hs_->ExclusiveOfDatabase(heart_, 1);
-  const auto& d = hs_->ExclusiveOfDatabase(heart_, 1);
-  EXPECT_EQ(&c, &d);
+TEST_F(HierarchySummariesTest, ChainLevelExcludesDatabase) {
+  // On the chain Heart → db0, Heart's level is db1 only.
+  const ShrunkSummary level(
+      {&hs_->aggregate(heart_), &hs_->database_summary(0)}, {0.0, 1.0, 0.0},
+      /*uniform_probability=*/0.0);
+  EXPECT_DOUBLE_EQ(level.MixtureProbDoc("cardiac"), 60.0 / 300.0);
+  EXPECT_DOUBLE_EQ(level.MixtureProbDoc("hypertension"), 30.0 / 300.0);
+  EXPECT_DOUBLE_EQ(level.MixtureProbDoc("shared"), 0.0);
 }
 
 TEST_F(HierarchySummariesTest, UniformProbabilityIsInverseVocabulary) {
@@ -94,23 +93,36 @@ TEST_F(HierarchySummariesTest, UniformProbabilityIsInverseVocabulary) {
   EXPECT_DOUBLE_EQ(hs_->uniform_probability(), 1.0 / 5.0);
 }
 
-TEST_F(HierarchySummariesTest, SubtractedSummaryIterationSkipsZeroedWords) {
-  const auto& excl = hs_->ExclusiveOfChild(health_, heart_);
+TEST_F(HierarchySummariesTest, ChainIterationSkipsZeroedWords) {
+  // Health's level on Health → Heart → db0 zeroes "cardiac".
+  const ShrunkSummary level(
+      {&hs_->aggregate(health_), &hs_->aggregate(heart_),
+       &hs_->database_summary(0)},
+      {0.0, 1.0, 0.0, 0.0}, /*uniform_probability=*/0.0);
   size_t count = 0;
-  excl.ForEachWord([&](const std::string& w, const summary::WordStats& s) {
+  level.ForEachWord([&](const std::string& w, const summary::WordStats& s) {
     EXPECT_GT(s.df + s.ctf, 0.0) << w;
     ++count;
   });
-  EXPECT_EQ(count, excl.vocabulary_size());
   EXPECT_EQ(count, 2u);  // clinical + shared
 }
 
-TEST_F(HierarchySummariesTest, SubtractedTotalsClampAtZero) {
-  // Subtracting a view from itself yields an all-zero summary.
-  SubtractedSummary self(&hs_->aggregate(heart_), &hs_->aggregate(heart_));
-  EXPECT_DOUBLE_EQ(self.num_documents(), 0.0);
-  EXPECT_DOUBLE_EQ(self.total_tokens(), 0.0);
-  EXPECT_EQ(self.vocabulary_size(), 0u);
+TEST_F(HierarchySummariesTest, SelfSubtractedLevelIsEmpty) {
+  // A level subtracted from itself holds nothing: no mass for any of its
+  // words, no record, and no word counted into the vocabulary beyond the
+  // database level's own.
+  const summary::ContentSummary& heart = hs_->aggregate(heart_);
+  const ShrunkSummary level({&heart, &heart}, {0.0, 1.0, 0.0},
+                            /*uniform_probability=*/0.0);
+  for (const char* w : {"cardiac", "shared", "hypertension"}) {
+    EXPECT_DOUBLE_EQ(level.DocFrequency(w), 0.0) << w;
+    EXPECT_DOUBLE_EQ(level.TokenFrequency(w), 0.0) << w;
+  }
+  size_t records = 0;
+  level.ForEachWord(
+      [&](const std::string&, const summary::WordStats&) { ++records; });
+  EXPECT_EQ(records, 0u);
+  EXPECT_EQ(level.vocabulary_size(), heart.vocabulary_size());
 }
 
 TEST_F(HierarchySummariesTest, EmptyCategoryAggregatesToEmpty) {

@@ -1,6 +1,9 @@
 #include "fedsearch/core/shrinkage.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <map>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -22,6 +25,8 @@ summary::ContentSummary MakeDb(
 
 class ShrunkSummaryTest : public ::testing::Test {
  protected:
+  // The chain category_ → db_: the category level is category_ − db_,
+  // clamped at zero (900 documents, 670 tokens; db-only clamps to 0).
   ShrunkSummaryTest()
       : category_(MakeDb(1000, {{"shared", 400, 600}, {"cat-only", 100, 150}})),
         db_(MakeDb(100, {{"shared", 30, 60}, {"db-only", 10, 20}})),
@@ -33,11 +38,11 @@ class ShrunkSummaryTest : public ::testing::Test {
 };
 
 TEST_F(ShrunkSummaryTest, MixtureProbMatchesDefinition4) {
-  // p̂_R(w|D) = λ0·u + λ1·p̂(w|C) + λ2·p̂(w|D).
+  // p̂_R(w|D) = λ0·u + λ1·p̂(w|C − D) + λ2·p̂(w|D).
   EXPECT_NEAR(shrunk_.MixtureProbDoc("shared"),
-              0.1 * 0.001 + 0.4 * 0.4 + 0.5 * 0.3, 1e-12);
+              0.1 * 0.001 + 0.4 * (370.0 / 900.0) + 0.5 * 0.3, 1e-12);
   EXPECT_NEAR(shrunk_.MixtureProbDoc("cat-only"),
-              0.1 * 0.001 + 0.4 * 0.1, 1e-12);
+              0.1 * 0.001 + 0.4 * (100.0 / 900.0), 1e-12);
   EXPECT_NEAR(shrunk_.MixtureProbDoc("db-only"),
               0.1 * 0.001 + 0.5 * 0.1, 1e-12);
   // Unknown words still get the uniform floor: "every word in any content
@@ -73,6 +78,68 @@ TEST_F(ShrunkSummaryTest, LambdasAccessible) {
   EXPECT_DOUBLE_EQ(shrunk_.lambdas()[0], 0.1);
 }
 
+// Definition 4 by hand on a root → child → database chain, every level
+// subtracted explicitly and every sum written in the order the view adds
+// it: point lookups add the uniform first, iteration adds it last.
+TEST(ShrunkSummaryChainTest, MatchesExplicitlySubtractedLevelsBitwise) {
+  // "db-only" only the database holds, "root-only" only the root holds,
+  // "child-all" sits in the child in all 30 of its root documents (so the
+  // root level holds none of it), and "nowhere" no summary holds.
+  const summary::ContentSummary root =
+      MakeDb(1000, {{"root-only", 50, 80}, {"child-all", 30, 45}});
+  const summary::ContentSummary child = MakeDb(400, {{"child-all", 30, 45}});
+  const summary::ContentSummary db =
+      MakeDb(100, {{"db-only", 7, 11}, {"child-all", 12, 20}});
+  const std::vector<double> lambdas = {0.05, 0.15, 0.3, 0.5};
+  const double uniform = 0.25;
+  const ShrunkSummary shrunk({&root, &child, &db}, lambdas, uniform);
+
+  // The levels root − child, child − db and db: |C|, cw, and each word's
+  // df and ctf, clamped at zero. child-all's 25 tokens exceed the child
+  // level's 14, so its token probability clamps at 1.
+  const double documents[] = {1000.0 - 400.0, 400.0 - 100.0, 100.0};
+  const double tokens[] = {125.0 - 45.0, 45.0 - 31.0, 31.0};
+  const std::map<std::string, std::array<summary::WordStats, 3>> words = {
+      {"db-only", {{{0.0, 0.0}, {0.0, 0.0}, {7.0, 11.0}}}},
+      {"root-only", {{{50.0, 80.0}, {0.0, 0.0}, {0.0, 0.0}}}},
+      {"child-all", {{{0.0, 0.0}, {30.0 - 12.0, 45.0 - 20.0}, {12.0, 20.0}}}},
+      {"nowhere", {{{0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}}}},
+  };
+  // start + Σ_i λ_{i+1}·min(1, x_i / total_i), in level order.
+  const auto mixture = [&](const std::array<summary::WordStats, 3>& levels,
+                           bool doc, double start) {
+    double p = start;
+    for (size_t i = 0; i < 3; ++i) {
+      const double x = doc ? levels[i].df : levels[i].ctf;
+      const double total = doc ? documents[i] : tokens[i];
+      p += lambdas[i + 1] * std::min(1.0, x / total);
+    }
+    return p;
+  };
+  const double u = lambdas[0] * uniform;
+  for (const auto& [w, levels] : words) {
+    EXPECT_EQ(shrunk.DocFrequency(w),
+              std::min(1.0, mixture(levels, true, u)) * 100.0)
+        << w;
+    EXPECT_EQ(shrunk.TokenFrequency(w),
+              std::min(1.0, mixture(levels, false, u)) * 31.0)
+        << w;
+  }
+  std::map<std::string, summary::WordStats> records;
+  shrunk.ForEachWord([&](const std::string& w, const summary::WordStats& s) {
+    EXPECT_TRUE(records.emplace(w, s).second) << w;
+  });
+  EXPECT_EQ(records.size(), 3u);
+  EXPECT_EQ(records.count("nowhere"), 0u);
+  for (const auto& [w, stats] : records) {
+    const std::array<summary::WordStats, 3>& levels = words.at(w);
+    EXPECT_EQ(stats.df, std::min(1.0, mixture(levels, true, 0.0) + u) * 100.0)
+        << w;
+    EXPECT_EQ(stats.ctf, std::min(1.0, mixture(levels, false, 0.0) + u) * 31.0)
+        << w;
+  }
+}
+
 // -------------------------------------------------------- FitMixtureWeights
 
 TEST(FitMixtureWeightsTest, LambdasFormADistribution) {
@@ -81,7 +148,7 @@ TEST(FitMixtureWeightsTest, LambdasFormADistribution) {
   const summary::ContentSummary cat =
       MakeDb(500, {{"a", 200, 240}, {"b", 60, 70}, {"d", 40, 50}});
   const std::vector<double> lambdas =
-      FitMixtureWeights(db, {&cat}, 1e-4, /*sample_size=*/100);
+      FitMixtureWeights({&cat, &db}, 1e-4, /*sample_size=*/100);
   ASSERT_EQ(lambdas.size(), 3u);
   EXPECT_NEAR(std::accumulate(lambdas.begin(), lambdas.end(), 0.0), 1.0,
               1e-9);
@@ -96,11 +163,17 @@ TEST(FitMixtureWeightsTest, IrrelevantCategoryGetsTinyWeight) {
       MakeDb(100, {{"a", 60, 80}, {"b", 30, 40}, {"c", 10, 12}});
   const summary::ContentSummary matching =
       MakeDb(400, {{"a", 240, 300}, {"b", 120, 160}, {"c", 40, 50}});
-  const summary::ContentSummary unrelated =
-      MakeDb(400, {{"x", 200, 220}, {"y", 100, 110}});
+  // The root adds an unrelated 400-document subtree to `matching`, so its
+  // level holds only the unrelated words.
+  const summary::ContentSummary root =
+      MakeDb(800, {{"a", 240, 300},
+                   {"b", 120, 160},
+                   {"c", 40, 50},
+                   {"x", 200, 220},
+                   {"y", 100, 110}});
   const std::vector<double> lambdas =
-      FitMixtureWeights(db, {&unrelated, &matching}, 1e-4, 100);
-  // Order: uniform, unrelated, matching, database.
+      FitMixtureWeights({&root, &matching, &db}, 1e-4, 100);
+  // Order: uniform, root (unrelated), matching, database.
   EXPECT_LT(lambdas[1], 0.05);
   EXPECT_GT(lambdas[2] + lambdas[3], 0.8);
 }
@@ -111,12 +184,13 @@ TEST(FitMixtureWeightsTest, TextbookIterationWithoutDeletionDegenerates) {
   // component.
   const summary::ContentSummary db =
       MakeDb(100, {{"a", 50, 60}, {"b", 10, 12}, {"c", 2, 2}});
-  // The category overlaps but is pointwise less likely for S(D)'s words,
-  // so the database component is the maximum-likelihood explanation.
+  // The category's level (cat − db) overlaps but is pointwise less likely
+  // for S(D)'s words, so the database component is the maximum-likelihood
+  // explanation.
   const summary::ContentSummary cat =
       MakeDb(500, {{"a", 100, 120}, {"b", 20, 25}, {"c", 4, 5}});
   const std::vector<double> lambdas =
-      FitMixtureWeights(db, {&cat}, 1e-4, /*sample_size=*/0,
+      FitMixtureWeights({&cat, &db}, 1e-4, /*sample_size=*/0,
                         ShrinkageOptions{.epsilon = 1e-12,
                                          .max_iterations = 5000});
   EXPECT_GT(lambdas.back(), 0.98);
@@ -126,7 +200,7 @@ TEST(FitMixtureWeightsTest, EmptySummaryGivesUniformLambdas) {
   summary::ContentSummary db;
   db.set_num_documents(10);
   const summary::ContentSummary cat = MakeDb(100, {{"a", 10, 10}});
-  const std::vector<double> lambdas = FitMixtureWeights(db, {&cat}, 1e-4, 10);
+  const std::vector<double> lambdas = FitMixtureWeights({&cat, &db}, 1e-4, 10);
   ASSERT_EQ(lambdas.size(), 3u);
   for (double l : lambdas) EXPECT_NEAR(l, 1.0 / 3.0, 1e-12);
 }

@@ -35,10 +35,13 @@ class ScorersTest : public ::testing::Test {
         global_(summary::ContentSummary::AggregateCategory({&health_, &cs_})) {
     context_.ranked_summaries = {&health_, &cs_};
     context_.global_summary = &global_;
-    // Every term the tests below score (CORI reads cf(w) from the fill).
-    PrepareContextForQuery(
-        Query{{"algorithm", "blood", "hypertension", "nonexistent"}},
-        context_);
+  }
+
+  // The fixture's context, with every statistic filled for `query`: a
+  // context serves only the query it was prepared for.
+  const ScoringContext& PreparedFor(const Query& query) {
+    PrepareContextForQuery(query, context_);
+    return context_;
   }
 
   summary::ContentSummary health_;
@@ -53,15 +56,16 @@ TEST_F(ScorersTest, BglossMatchesClosedForm) {
   // s(q, D) = |D| · Π p̂(w|D)  [13].
   BglossScorer bgloss;
   const Query q{{"blood", "hypertension"}};
-  EXPECT_NEAR(bgloss.Score(q, health_, context_), 1000 * 0.42 * 0.32, 1e-9);
+  EXPECT_NEAR(bgloss.Score(q, health_, PreparedFor(q)), 1000 * 0.42 * 0.32,
+              1e-9);
 }
 
 TEST_F(ScorersTest, BglossZeroOnAnyMissingWord) {
   BglossScorer bgloss;
-  EXPECT_EQ(bgloss.Score(Query{{"algorithm", "hypertension"}}, health_,
-                         context_),
-            0.0);
-  EXPECT_EQ(bgloss.DefaultScore(Query{{"x"}}, health_, context_), 0.0);
+  const Query q{{"algorithm", "hypertension"}};
+  EXPECT_EQ(bgloss.Score(q, health_, PreparedFor(q)), 0.0);
+  const Query x{{"x"}};
+  EXPECT_EQ(bgloss.DefaultScore(x, health_, PreparedFor(x)), 0.0);
 }
 
 TEST_F(ScorersTest, BglossPrefersTopicalDatabase) {
@@ -69,8 +73,8 @@ TEST_F(ScorersTest, BglossPrefersTopicalDatabase) {
   // database over the CS one.
   BglossScorer bgloss;
   const Query q{{"blood", "hypertension"}};
-  EXPECT_GT(bgloss.Score(q, health_, context_),
-            bgloss.Score(q, cs_, context_));
+  EXPECT_GT(bgloss.Score(q, health_, PreparedFor(q)),
+            bgloss.Score(q, cs_, PreparedFor(q)));
 }
 
 // ------------------------------------------------------------------ CORI --
@@ -85,14 +89,14 @@ TEST_F(ScorersTest, CoriMatchesClosedForm) {
   const double t = 300.0 / (300.0 + 50.0 + 150.0 * cw / mcw);
   const double cf = 1.0;  // only cs_ contains "algorithm"
   const double i = std::log((m + 0.5) / cf) / std::log(m + 1.0);
-  EXPECT_NEAR(cori.Score(q, cs_, context_), 0.4 + 0.6 * t * i, 1e-9);
+  EXPECT_NEAR(cori.Score(q, cs_, PreparedFor(q)), 0.4 + 0.6 * t * i, 1e-9);
 }
 
 TEST_F(ScorersTest, CoriDefaultBeliefForMissingWords) {
   CoriScorer cori;
   const Query q{{"nonexistent"}};
-  EXPECT_NEAR(cori.Score(q, health_, context_), 0.4, 1e-12);
-  EXPECT_NEAR(cori.DefaultScore(q, health_, context_), 0.4, 1e-12);
+  EXPECT_NEAR(cori.Score(q, health_, PreparedFor(q)), 0.4, 1e-12);
+  EXPECT_NEAR(cori.DefaultScore(q, health_, PreparedFor(q)), 0.4, 1e-12);
 }
 
 TEST_F(ScorersTest, CoriRoundedPresenceRule) {
@@ -112,16 +116,20 @@ TEST_F(ScorersTest, CoriRareWordsWeighMore) {
   CoriScorer cori;
   // "hypertension" occurs only in health_, "blood" in both (df 1 in cs_
   // rounds to 1, so cf = 2).
-  const double s_rare = cori.Score(Query{{"hypertension"}}, health_, context_);
-  const double s_common = cori.Score(Query{{"blood"}}, health_, context_);
+  const Query rare{{"hypertension"}};
+  const Query common{{"blood"}};
+  const double s_rare = cori.Score(rare, health_, PreparedFor(rare));
+  const double s_common = cori.Score(common, health_, PreparedFor(common));
   EXPECT_GT(s_rare, s_common);
 }
 
 TEST_F(ScorersTest, CoriAveragesOverQueryWords) {
   CoriScorer cori;
-  const double one = cori.Score(Query{{"hypertension"}}, health_, context_);
+  const Query single{{"hypertension"}};
+  const Query with_nonexistent{{"hypertension", "nonexistent"}};
+  const double one = cori.Score(single, health_, PreparedFor(single));
   const double with_miss =
-      cori.Score(Query{{"hypertension", "nonexistent"}}, health_, context_);
+      cori.Score(with_nonexistent, health_, PreparedFor(with_nonexistent));
   EXPECT_NEAR(with_miss, (one + 0.4) / 2.0, 1e-9);
 }
 
@@ -132,29 +140,33 @@ TEST_F(ScorersTest, LmMatchesClosedForm) {
   const Query q{{"blood"}};
   const double p_db = health_.ProbToken("blood");
   const double p_g = global_.ProbToken("blood");
-  EXPECT_NEAR(lm.Score(q, health_, context_), 0.5 * p_db + 0.5 * p_g, 1e-12);
+  EXPECT_NEAR(lm.Score(q, health_, PreparedFor(q)), 0.5 * p_db + 0.5 * p_g,
+              1e-12);
 }
 
 TEST_F(ScorersTest, LmSmoothsMissingWordsWithGlobal) {
   LmScorer lm(0.5);
   const Query q{{"algorithm"}};  // absent from health_
   const double expected = 0.5 * global_.ProbToken("algorithm");
-  EXPECT_NEAR(lm.Score(q, health_, context_), expected, 1e-12);
-  EXPECT_NEAR(lm.DefaultScore(q, health_, context_), expected, 1e-12);
+  EXPECT_NEAR(lm.Score(q, health_, PreparedFor(q)), expected, 1e-12);
+  EXPECT_NEAR(lm.DefaultScore(q, health_, PreparedFor(q)), expected, 1e-12);
 }
 
 TEST_F(ScorersTest, LmMultiWordProduct) {
   LmScorer lm(0.5);
   const Query q{{"blood", "hypertension"}};
-  const double w1 = lm.Score(Query{{"blood"}}, health_, context_);
-  const double w2 = lm.Score(Query{{"hypertension"}}, health_, context_);
-  EXPECT_NEAR(lm.Score(q, health_, context_), w1 * w2, 1e-15);
+  const Query q1{{"blood"}};
+  const Query q2{{"hypertension"}};
+  const double w1 = lm.Score(q1, health_, PreparedFor(q1));
+  const double w2 = lm.Score(q2, health_, PreparedFor(q2));
+  EXPECT_NEAR(lm.Score(q, health_, PreparedFor(q)), w1 * w2, 1e-15);
 }
 
 TEST_F(ScorersTest, LmWithoutGlobalSummary) {
   LmScorer lm(0.5);
   ScoringContext ctx;  // no global
   const Query q{{"blood"}};
+  lm.PrepareContext(q, ScoringStatisticsCache(), ctx);
   EXPECT_NEAR(lm.Score(q, health_, ctx), 0.5 * health_.ProbToken("blood"),
               1e-12);
   EXPECT_EQ(lm.DefaultScore(q, health_, ctx), 0.0);
@@ -195,6 +207,7 @@ TEST_F(DeltaProtocolTest, TableFoldMatchesScoreBitwise) {
     for (const summary::SummaryView* db : dbs) {
       const double n = db->num_documents();
       for (const Query& q : queries) {
+        PreparedFor(q);
         const size_t terms = q.terms.size();
         std::vector<std::string> distinct;
         std::vector<size_t> slot(terms);

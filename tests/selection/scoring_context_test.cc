@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "fedsearch/selection/bgloss.h"
 #include "fedsearch/selection/cori.h"
+#include "fedsearch/selection/lm.h"
 #include "fedsearch/selection/scoring.h"
 
 namespace fedsearch::selection {
@@ -22,23 +24,47 @@ summary::ContentSummary MakeDb(double n,
   return s;
 }
 
-TEST(ScoringContextDeathTest, CoriAbortsOnTermTheContextWasNotFilledFor) {
+TEST(ScoringContextDeathTest, CoriAbortsOnAContextPreparedForAShorterQuery) {
   const summary::ContentSummary a = MakeDb(100, {{"x", 40}, {"y", 3}});
   const summary::ContentSummary b = MakeDb(300, {{"x", 10}});
   ScoringContext ctx;
   ctx.ranked_summaries = {&a, &b};
   CoriScorer cori;
   EXPECT_DEATH((void)cori.Score(Query{{"x"}}, a, ctx),
-               "CORI scored term \"x\" from a context not filled for it");
-  // Filled for another query: "y" is still missing.
-  PrepareContextForQuery(Query{{"x"}}, ctx);
+               "CORI scored a 1-term query from a context prepared for 0 "
+               "terms");
+  // Prepared for a one-term query: a second position is missing.
+  cori.PrepareContext(Query{{"x"}}, ScoringStatisticsCache(), ctx);
   EXPECT_DEATH((void)cori.Score(Query{{"x", "y"}}, a, ctx),
-               "CORI scored term \"y\"");
+               "CORI scored a 2-term query from a context prepared for 1 "
+               "terms");
   const double df = 5.0;
   double belief = 0.0;
-  EXPECT_DEATH(cori.TermContributionTable(Query{{"y"}}, 0, a, ctx, &df, 1,
-                                          &belief),
-               "CORI scored term \"y\"");
+  EXPECT_DEATH(cori.TermContributionTable(Query{{"x", "y"}}, 1, a, ctx, &df,
+                                          1, &belief),
+               "CORI scored a 2-term query");
+}
+
+TEST(ScoringContextDeathTest, LmAbortsOnAContextPreparedForAShorterQuery) {
+  const summary::ContentSummary a = MakeDb(100, {{"x", 40}, {"y", 3}});
+  ScoringContext ctx;
+  ctx.ranked_summaries = {&a};
+  ctx.global_summary = &a;
+  LmScorer lm;
+  EXPECT_DEATH((void)lm.Score(Query{{"x"}}, a, ctx),
+               "LM scored a 1-term query from a context prepared for 0 "
+               "terms");
+  lm.PrepareContext(Query{{"x"}}, ScoringStatisticsCache(), ctx);
+  EXPECT_DEATH((void)lm.Score(Query{{"x", "y"}}, a, ctx),
+               "LM scored a 2-term query from a context prepared for 1 "
+               "terms");
+  EXPECT_DEATH((void)lm.DefaultScore(Query{{"x", "y"}}, a, ctx),
+               "LM scored a 2-term query");
+  const double df = 5.0;
+  double factor = 0.0;
+  EXPECT_DEATH(lm.TermContributionTable(Query{{"x", "y"}}, 1, a, ctx, &df, 1,
+                                        &factor),
+               "LM scored a 2-term query");
 }
 
 TEST(ScoringContextTest, CachedCfValues) {
@@ -47,18 +73,45 @@ TEST(ScoringContextTest, CachedCfValues) {
   ScoringContext ctx;
   ctx.ranked_summaries = {&a, &b};
   PrepareContextForQuery(Query{{"x", "y", "absent"}}, ctx);
-  EXPECT_EQ(ctx.cached_cf.at("x"), 2u);
-  EXPECT_EQ(ctx.cached_cf.at("y"), 1u);
-  EXPECT_EQ(ctx.cached_cf.at("absent"), 0u);
+  ASSERT_EQ(ctx.term_cf.size(), 3u);
+  EXPECT_EQ(ctx.term_cf[0], 2u);  // x
+  EXPECT_EQ(ctx.term_cf[1], 1u);  // y
+  EXPECT_EQ(ctx.term_cf[2], 0u);  // absent
   // total_tokens: a = 80, b = 24; mean over the two summaries.
-  EXPECT_DOUBLE_EQ(ctx.cached_mean_cw, (80.0 + 24.0) / 2.0);
+  EXPECT_DOUBLE_EQ(ctx.mean_cw, (80.0 + 24.0) / 2.0);
 }
 
 TEST(ScoringContextTest, EmptyRankedSetIsSafe) {
   ScoringContext ctx;
   PrepareContextForQuery(Query{{"x"}}, ctx);
-  EXPECT_EQ(ctx.cached_cf.at("x"), 0u);
-  EXPECT_EQ(ctx.cached_mean_cw, 1.0);
+  ASSERT_EQ(ctx.term_cf.size(), 1u);
+  EXPECT_EQ(ctx.term_cf[0], 0u);
+  EXPECT_EQ(ctx.mean_cw, 1.0);
+}
+
+TEST(ScoringContextTest, BglossPrepareContextLeavesTheStatisticsEmpty) {
+  const summary::ContentSummary a = MakeDb(100, {{"x", 40}});
+  ScoringContext ctx;
+  ctx.ranked_summaries = {&a};
+  ctx.global_summary = &a;
+  BglossScorer().PrepareContext(Query{{"x", "y"}},
+                                ScoringStatisticsCache({&a}), ctx);
+  EXPECT_TRUE(ctx.term_cf.empty());
+  EXPECT_TRUE(ctx.term_global_prob.empty());
+}
+
+TEST(ScoringContextTest, LmPrepareContextFillsOnlyGlobalProbabilities) {
+  const summary::ContentSummary a = MakeDb(100, {{"x", 40}});
+  const summary::ContentSummary g = MakeDb(400, {{"x", 40}, {"y", 10}});
+  ScoringContext ctx;
+  ctx.ranked_summaries = {&a};
+  ctx.global_summary = &g;
+  LmScorer().PrepareContext(Query{{"y", "x", "y", "absent"}},
+                            ScoringStatisticsCache({&a}), ctx);
+  EXPECT_TRUE(ctx.term_cf.empty());
+  const std::vector<double> expected = {g.ProbToken("y"), g.ProbToken("x"),
+                                        g.ProbToken("y"), 0.0};
+  EXPECT_EQ(ctx.term_global_prob, expected);
 }
 
 // ------------------------------------------- FillContext vs direct count --
@@ -81,19 +134,26 @@ summary::ContentSummary MakeDbWithTokens(
   return s;
 }
 
-// Expects the context's statistics to equal cf(w) and mean cw counted
-// straight from context.ranked_summaries, bit for bit.
+// Expects the context's statistics to equal cf(w), mean cw and p̂(w|G)
+// counted straight from context.ranked_summaries and
+// context.global_summary, position by position, bit for bit.
 void ExpectMatchesDirectCount(const Query& query,
                               const ScoringContext& context) {
   const std::vector<const summary::SummaryView*>& ranked =
       context.ranked_summaries;
-  for (const std::string& w : query.terms) {
+  ASSERT_EQ(context.term_cf.size(), query.terms.size());
+  ASSERT_EQ(context.term_global_prob.size(), query.terms.size());
+  for (size_t i = 0; i < query.terms.size(); ++i) {
+    const std::string& w = query.terms[i];
     size_t cf = 0;
     for (const summary::SummaryView* s : ranked) {
       if (s->ContainsRounded(w)) ++cf;
     }
-    ASSERT_EQ(context.cached_cf.count(w), 1u) << w;
-    EXPECT_EQ(context.cached_cf.at(w), cf) << w;
+    EXPECT_EQ(context.term_cf[i], cf) << w;
+    const double global = context.global_summary != nullptr
+                              ? context.global_summary->ProbToken(w)
+                              : 0.0;
+    EXPECT_EQ(Bits(context.term_global_prob[i]), Bits(global)) << w;
   }
   double mean = 1.0;
   if (!ranked.empty()) {
@@ -101,8 +161,8 @@ void ExpectMatchesDirectCount(const Query& query,
     for (const summary::SummaryView* s : ranked) total += s->total_tokens();
     mean = total / static_cast<double>(ranked.size());
   }
-  EXPECT_EQ(Bits(context.cached_mean_cw), Bits(mean))
-      << context.cached_mean_cw << " vs " << mean;
+  EXPECT_EQ(Bits(context.mean_cw), Bits(mean))
+      << context.mean_cw << " vs " << mean;
 }
 
 class FillContextTest : public ::testing::Test {
@@ -130,7 +190,7 @@ TEST_F(FillContextTest, NoPositionDiffers) {
   ctx.ranked_summaries = {&a_, &b_, &c_};
   cache_.FillContext(query_, ctx);
   ExpectMatchesDirectCount(query_, ctx);
-  EXPECT_EQ(Bits(ctx.cached_mean_cw), Bits(cache_.mean_cw()));
+  EXPECT_EQ(Bits(ctx.mean_cw), Bits(cache_.mean_cw()));
 }
 
 TEST_F(FillContextTest, SomePositionsDiffer) {
@@ -156,8 +216,8 @@ TEST_F(FillContextTest, DefaultConstructedCacheCountsEveryPosition) {
   ScoringContext prepared;
   prepared.ranked_summaries = ctx.ranked_summaries;
   PrepareContextForQuery(query_, prepared);
-  EXPECT_EQ(prepared.cached_cf, ctx.cached_cf);
-  EXPECT_EQ(Bits(prepared.cached_mean_cw), Bits(ctx.cached_mean_cw));
+  EXPECT_EQ(prepared.term_cf, ctx.term_cf);
+  EXPECT_EQ(Bits(prepared.mean_cw), Bits(ctx.mean_cw));
 }
 
 TEST_F(FillContextTest, EmptyRankedSet) {
@@ -177,7 +237,57 @@ TEST_F(FillContextTest, RefillReplacesThePreviousQuerysStatistics) {
   const Query other{{"z"}};
   cache_.FillContext(other, ctx);
   ExpectMatchesDirectCount(other, ctx);
-  EXPECT_EQ(ctx.cached_cf.size(), 1u);
+  EXPECT_EQ(ctx.term_cf.size(), 1u);
+  EXPECT_EQ(ctx.term_global_prob.size(), 1u);
+}
+
+// The contract of ScoringFunction::PrepareContext: a context the scorer
+// prepared scores exactly as one FillContext filled with every statistic.
+using PrepareContextTest = FillContextTest;
+
+TEST_F(PrepareContextTest, EveryScorerScoresAsAfterTheFullFill) {
+  // query_ repeats "x" and holds "absent", which no summary holds; the
+  // cache's own set and a set with b replaced both run.
+  const summary::ContentSummary global =
+      summary::ContentSummary::AggregateCategory({&a_, &b_, &c_});
+  const CoriScorer cori;
+  const LmScorer lm;
+  const BglossScorer bgloss;
+  const ScoringFunction* scorers[] = {&cori, &lm, &bgloss};
+  const std::vector<const summary::SummaryView*> sets[] = {{&a_, &b_, &c_},
+                                                           {&a_, &b2_, &c_}};
+  constexpr size_t kPoints = 5;
+  const double dfs[kPoints] = {0.0, 0.4, 1.0, 7.0, 40.0};
+  for (const ScoringFunction* scorer : scorers) {
+    for (const std::vector<const summary::SummaryView*>& set : sets) {
+      ScoringContext prepared;
+      prepared.ranked_summaries = set;
+      prepared.global_summary = &global;
+      ScoringContext full = prepared;
+      scorer->PrepareContext(query_, cache_, prepared);
+      cache_.FillContext(query_, full);
+      for (const summary::SummaryView* db : set) {
+        EXPECT_EQ(Bits(scorer->Score(query_, *db, prepared)),
+                  Bits(scorer->Score(query_, *db, full)))
+            << scorer->name();
+        EXPECT_EQ(Bits(scorer->DefaultScore(query_, *db, prepared)),
+                  Bits(scorer->DefaultScore(query_, *db, full)))
+            << scorer->name();
+        for (size_t i = 0; i < query_.terms.size(); ++i) {
+          double from_prepared[kPoints];
+          double from_full[kPoints];
+          scorer->TermContributionTable(query_, i, *db, prepared, dfs,
+                                        kPoints, from_prepared);
+          scorer->TermContributionTable(query_, i, *db, full, dfs, kPoints,
+                                        from_full);
+          for (size_t g = 0; g < kPoints; ++g) {
+            EXPECT_EQ(Bits(from_prepared[g]), Bits(from_full[g]))
+                << scorer->name() << " term " << i << " point " << g;
+          }
+        }
+      }
+    }
+  }
 }
 
 using FillContextDeathTest = FillContextTest;
