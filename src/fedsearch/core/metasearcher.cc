@@ -42,12 +42,29 @@ const char* ModeName(SummaryMode mode) {
   return "unknown";
 }
 
+std::vector<std::shared_ptr<const sampling::SampleResult>> Share(
+    std::vector<sampling::SampleResult> samples) {
+  std::vector<std::shared_ptr<const sampling::SampleResult>> shared;
+  for (sampling::SampleResult& s : samples) {
+    shared.push_back(std::make_shared<sampling::SampleResult>(std::move(s)));
+  }
+  return shared;
+}
+
 }  // namespace
 
 Metasearcher::Metasearcher(const corpus::TopicHierarchy* hierarchy,
                            std::vector<sampling::SampleResult> samples,
                            std::vector<corpus::CategoryId> classifications,
                            MetasearcherOptions options)
+    : Metasearcher(hierarchy, Share(std::move(samples)),
+                   std::move(classifications), std::move(options)) {}
+
+Metasearcher::Metasearcher(
+    const corpus::TopicHierarchy* hierarchy,
+    std::vector<std::shared_ptr<const sampling::SampleResult>> samples,
+    std::vector<corpus::CategoryId> classifications,
+    MetasearcherOptions options)
     : hierarchy_(hierarchy),
       samples_(std::move(samples)),
       classifications_(std::move(classifications)),
@@ -56,23 +73,23 @@ Metasearcher::Metasearcher(const corpus::TopicHierarchy* hierarchy,
   FEDSEARCH_TRACE_SPAN("metasearcher_build");
   util::ScopedTimer build_timer(Metrics().build_ns);
   degraded_.reserve(samples_.size());
-  for (const sampling::SampleResult& s : samples_) {
+  for (const auto& s : samples_) {
     degraded_.push_back(
-        s.sample_size == 0 || s.summary.vocabulary_size() == 0 ||
-        s.health.outcome == sampling::SamplingOutcome::kAborted);
+        s->sample_size == 0 || s->summary.vocabulary_size() == 0 ||
+        s->health.outcome == sampling::SamplingOutcome::kAborted);
     if (degraded_.back()) ++num_degraded_;
   }
   std::vector<const summary::ContentSummary*> summary_ptrs;
   summary_ptrs.reserve(samples_.size());
-  for (const sampling::SampleResult& s : samples_) {
-    summary_ptrs.push_back(&s.summary);
+  for (const auto& s : samples_) {
+    summary_ptrs.push_back(&s->summary);
   }
   hierarchy_summaries_ = std::make_unique<HierarchySummaries>(
       hierarchy_, summary_ptrs, classifications_);
   std::vector<size_t> sample_sizes;
   sample_sizes.reserve(samples_.size());
-  for (const sampling::SampleResult& s : samples_) {
-    sample_sizes.push_back(s.sample_size);
+  for (const auto& s : samples_) {
+    sample_sizes.push_back(s->sample_size);
   }
   shrinkage_ = std::make_unique<ShrinkageModel>(
       hierarchy_summaries_.get(), std::move(sample_sizes), options_.shrinkage);
@@ -93,14 +110,10 @@ Metasearcher::Metasearcher(const corpus::TopicHierarchy* hierarchy,
   // lifetime, so the plain corpus statistics are computed once (off the
   // per-query hot path) and the posterior cache only invalidates by epoch
   // under live refresh.
-  FEDSEARCH_CHECK(options_.summary_epochs.empty() ||
-                  options_.summary_epochs.size() == samples_.size())
-      << " summary_epochs covers " << options_.summary_epochs.size()
-      << " databases, federation has " << samples_.size();
   if (options_.prior != nullptr) {
     // Incremental path (live refresh): delta-update the prior snapshot's
     // plain statistics for the re-probed databases only; bit-identical to
-    // the full scan below.
+    // the full scan below. This snapshot is the prior's next epoch.
     const Metasearcher& prior = *options_.prior;
     FEDSEARCH_CHECK(prior.num_databases() == samples_.size())
         << " prior snapshot has " << prior.num_databases()
@@ -108,12 +121,17 @@ Metasearcher::Metasearcher(const corpus::TopicHierarchy* hierarchy,
     std::vector<const summary::SummaryView*> prior_views;
     prior_views.reserve(prior.num_databases());
     for (size_t i = 0; i < prior.num_databases(); ++i) {
-      prior_views.push_back(&prior.samples_[i].summary);
+      prior_views.push_back(&prior.plain_summary(i));
     }
     plain_statistics_ = selection::ScoringStatisticsCache::Rebuilt(
         prior.plain_statistics_, plain_views, prior_views,
         options_.changed_databases);
+    // Rebuilt has checked every changed index.
+    epoch_ = prior.epoch_ + 1;
+    summary_epochs_ = prior.summary_epochs_;
+    for (size_t i : options_.changed_databases) summary_epochs_[i] = epoch_;
   } else {
+    summary_epochs_.assign(samples_.size(), 0);
     plain_statistics_ = selection::ScoringStatisticsCache(plain_views);
   }
   // The prior snapshot and change list are construction-time inputs only;
@@ -142,7 +160,7 @@ Metasearcher::Metasearcher(const corpus::TopicHierarchy* hierarchy,
   // reach the adaptive evaluation, so their shards stay unpinned.
   for (size_t i = 0; i < samples_.size(); ++i) {
     if (degraded_[i]) continue;
-    const sampling::SampleResult& s = samples_[i];
+    const sampling::SampleResult& s = *samples_[i];
     posterior_cache_->PinParams(i, s.sample_size,
                                 std::max(1.0, s.estimated_db_size),
                                 PowerLawGamma(s.mandelbrot_alpha),
@@ -184,7 +202,7 @@ Metasearcher::SelectionOutcome Metasearcher::SelectDatabases(
   std::vector<const summary::SummaryView*> chosen(n);
   switch (mode) {
     case SummaryMode::kPlain:
-      for (size_t i = 0; i < n; ++i) chosen[i] = &samples_[i].summary;
+      for (size_t i = 0; i < n; ++i) chosen[i] = &samples_[i]->summary;
       break;
     case SummaryMode::kUniversalShrinkage:
       for (size_t i = 0; i < n; ++i) chosen[i] = &shrinkage_->shrunk(i);
@@ -200,7 +218,7 @@ Metasearcher::SelectionOutcome Metasearcher::SelectDatabases(
       selection::ScoringContext decision_context;
       decision_context.ranked_summaries.reserve(n);
       for (size_t i = 0; i < n; ++i) {
-        decision_context.ranked_summaries.push_back(&samples_[i].summary);
+        decision_context.ranked_summaries.push_back(&samples_[i]->summary);
       }
       decision_context.global_summary =
           &hierarchy_summaries_->root_aggregate();
@@ -219,11 +237,11 @@ Metasearcher::SelectionOutcome Metasearcher::SelectDatabases(
           // No sample to estimate uncertainty from; the fallback below
           // supplies the summary. (No evaluation, so no deadline charge —
           // cost-model replays must subtract num_degraded().)
-          chosen[i] = &samples_[i].summary;
+          chosen[i] = &samples_[i]->summary;
           return;
         }
         const AdaptiveSummarySelector::Uncertainty u =
-            adaptive_.Evaluate(query, samples_[i], scorer, decision_context,
+            adaptive_.Evaluate(query, *samples_[i], scorer, decision_context,
                                unused_rng, posterior_cache_.get(), i,
                                summary_epoch(i), bounded ? deadline : nullptr,
                                adaptive_ctx);
@@ -233,7 +251,7 @@ Metasearcher::SelectionOutcome Metasearcher::SelectDatabases(
                 ? static_cast<const summary::SummaryView*>(
                       &shrinkage_->shrunk(i))
                 : static_cast<const summary::SummaryView*>(
-                      &samples_[i].summary);
+                      &samples_[i]->summary);
       };
       if (bounded) {
         // Bounded requests evaluate serially on the calling thread: the
