@@ -12,10 +12,6 @@ namespace fedsearch::selection {
 class BglossScorer : public ScoringFunction {
  public:
   std::string_view name() const override { return "bGlOSS"; }
-  // bGlOSS reads no corpus statistics: leaves the context as it is.
-  void PrepareContext(const Query&, const ScoringStatisticsCache&,
-                      ScoringContext&,
-                      const util::TraceContext& = {}) const override {}
   double Score(const Query& query, const summary::SummaryView& db,
                const ScoringContext& context) const override;
   double DefaultScore(const Query& query, const summary::SummaryView& db,

@@ -45,6 +45,13 @@ double Belief(double df_raw, double num_docs, double cw_term, Idf idf) {
 
 }  // namespace
 
+void CoriScorer::PrepareContext(const Query& query,
+                                const ScoringStatisticsCache& statistics,
+                                ScoringContext& context,
+                                const util::TraceContext& trace) const {
+  statistics.FillCorpusStatistics(query, context, trace);
+}
+
 double CoriScorer::Score(const Query& query, const summary::SummaryView& db,
                          const ScoringContext& context) const {
   // The per-term fold (seed 0, divided by |q|) over the summary's own dfs.

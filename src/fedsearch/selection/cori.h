@@ -20,6 +20,11 @@ namespace fedsearch::selection {
 class CoriScorer : public ScoringFunction {
  public:
   std::string_view name() const override { return "CORI"; }
+  // Fills only term_cf and mean_cw, the statistics CORI reads.
+  void PrepareContext(const Query& query,
+                      const ScoringStatisticsCache& statistics,
+                      ScoringContext& context,
+                      const util::TraceContext& trace = {}) const override;
   double Score(const Query& query, const summary::SummaryView& db,
                const ScoringContext& context) const override;
   double DefaultScore(const Query& query, const summary::SummaryView& db,

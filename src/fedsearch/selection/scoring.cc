@@ -5,13 +5,6 @@
 
 namespace fedsearch::selection {
 
-void ScoringFunction::PrepareContext(const Query& query,
-                                     const ScoringStatisticsCache& statistics,
-                                     ScoringContext& context,
-                                     const util::TraceContext& trace) const {
-  statistics.FillContext(query, context, trace);
-}
-
 double ScoringFunction::FinalizeScore(const Query&, double combined) const {
   return combined;
 }
@@ -144,6 +137,13 @@ size_t ScoringStatisticsCache::CollectionFrequency(
 void ScoringStatisticsCache::FillContext(
     const Query& query, ScoringContext& context,
     const util::TraceContext& trace) const {
+  FillCorpusStatistics(query, context, trace);
+  FillGlobalProbabilities(query, context);
+}
+
+void ScoringStatisticsCache::FillCorpusStatistics(
+    const Query& query, ScoringContext& context,
+    const util::TraceContext& trace) const {
   static util::Counter& global_fills =
       util::GlobalMetrics().counter("scoring_stats_cache.fills");
   util::Tracer::Scope fill_span("statistics_cache_fill", trace);
@@ -178,7 +178,6 @@ void ScoringStatisticsCache::FillContext(
     }
     context.term_cf[t] = cf > 0 ? static_cast<size_t>(cf) : 0;
   }
-  FillGlobalProbabilities(query, context);
 }
 
 }  // namespace fedsearch::selection

@@ -102,20 +102,25 @@ class ScoringStatisticsCache {
   size_t vocabulary_size() const { return cf_.size(); }
 
   // Fills every statistic of the context for the query's terms —
-  // term_cf and mean_cw over context.ranked_summaries, and
-  // term_global_prob — replacing any earlier fill, so the context serves
-  // every scorer. Starts from this cache's values and, for every position
-  // where the context ranks a different summary than the cache was built
-  // over (adaptive shrinkage, category fallback; every position for an
-  // empty cache), applies a ±1 cf correction per term and recomputes mean
-  // cw over the ranked set. O(query terms × differing positions +
-  // databases). Aborts when a non-empty cache was built over a different
-  // number of summaries than the context ranks.
+  // FillCorpusStatistics, then FillGlobalProbabilities — replacing any
+  // earlier fill, so the context serves every scorer.
+  void FillContext(const Query& query, ScoringContext& context,
+                   const util::TraceContext& trace = {}) const;
+
+  // Fills the context's term_cf and mean_cw for the query's terms over
+  // context.ranked_summaries, the statistics CORI reads. Starts from this
+  // cache's values and, for every position where the context ranks a
+  // different summary than the cache was built over (adaptive shrinkage,
+  // category fallback; every position for an empty cache), applies a ±1
+  // cf correction per term and recomputes mean cw over the ranked set.
+  // O(query terms × differing positions + databases). Aborts when a
+  // non-empty cache was built over a different number of summaries than
+  // the context ranks.
   //
   // `trace` (optional) records the fill as a statistics_cache_fill span
   // under the caller's request trace; observational only.
-  void FillContext(const Query& query, ScoringContext& context,
-                   const util::TraceContext& trace = {}) const;
+  void FillCorpusStatistics(const Query& query, ScoringContext& context,
+                            const util::TraceContext& trace = {}) const;
 
  private:
   std::unordered_map<std::string, size_t> cf_;
@@ -146,12 +151,11 @@ class ScoringFunction {
   // Fills what this scorer reads of `context`'s per-query statistics for
   // `query`, from `statistics` (built over context.ranked_summaries, or
   // empty). Call it once per (query, ranked set) before scoring that
-  // query. The default is the full statistics.FillContext, which CORI
-  // uses; LM fills only term_global_prob and bGlOSS nothing.
-  virtual void PrepareContext(const Query& query,
-                              const ScoringStatisticsCache& statistics,
-                              ScoringContext& context,
-                              const util::TraceContext& trace = {}) const;
+  // query. The default fills nothing, which bGlOSS uses; CORI fills
+  // term_cf and mean_cw, LM only term_global_prob.
+  virtual void PrepareContext(const Query&, const ScoringStatisticsCache&,
+                              ScoringContext&,
+                              const util::TraceContext& = {}) const {}
 
   // Score of database `db` for `query`. Higher is better.
   [[nodiscard]] virtual double Score(const Query& query,

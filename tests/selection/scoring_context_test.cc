@@ -100,6 +100,23 @@ TEST(ScoringContextTest, BglossPrepareContextLeavesTheStatisticsEmpty) {
   EXPECT_TRUE(ctx.term_global_prob.empty());
 }
 
+TEST(ScoringContextTest, CoriPrepareContextFillsOnlyCorpusStatistics) {
+  const summary::ContentSummary a = MakeDb(100, {{"x", 40}});
+  const summary::ContentSummary b = MakeDb(300, {{"x", 10}, {"y", 2}});
+  const summary::ContentSummary g = MakeDb(400, {{"x", 40}, {"y", 10}});
+  const Query query{{"y", "x", "y", "absent"}};
+  const ScoringStatisticsCache cache({&a, &b});
+  ScoringContext ctx;
+  ctx.ranked_summaries = {&b, &a};
+  ctx.global_summary = &g;
+  ScoringContext full = ctx;
+  CoriScorer().PrepareContext(query, cache, ctx);
+  cache.FillContext(query, full);
+  EXPECT_TRUE(ctx.term_global_prob.empty());
+  EXPECT_EQ(ctx.term_cf, full.term_cf);
+  EXPECT_EQ(ctx.mean_cw, full.mean_cw);
+}
+
 TEST(ScoringContextTest, LmPrepareContextFillsOnlyGlobalProbabilities) {
   const summary::ContentSummary a = MakeDb(100, {{"x", 40}});
   const summary::ContentSummary g = MakeDb(400, {{"x", 40}, {"y", 10}});
