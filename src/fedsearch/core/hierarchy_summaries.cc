@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "fedsearch/util/check.h"
+
 namespace fedsearch::core {
 
 HierarchySummaries::HierarchySummaries(
@@ -15,10 +17,17 @@ HierarchySummaries::HierarchySummaries(
   aggregates_.resize(nodes);
 
   // Group databases by their classification node.
+  FEDSEARCH_CHECK(classifications_.size() == database_summaries_.size())
+      << " " << classifications_.size() << " classifications for "
+      << database_summaries_.size() << " database summaries";
   std::vector<std::vector<const summary::ContentSummary*>> at_node(nodes);
   for (size_t i = 0; i < database_summaries_.size(); ++i) {
-    at_node[static_cast<size_t>(classifications_[i])].push_back(
-        database_summaries_[i]);
+    const auto node = static_cast<size_t>(classifications_[i]);
+    FEDSEARCH_CHECK(node < nodes)
+        << " database " << i << " is classified as category "
+        << classifications_[i] << ", not a node of the " << nodes
+        << "-node hierarchy";
+    at_node[node].push_back(database_summaries_[i]);
   }
 
   // Nodes are allocated parents-first, so a reverse pass visits children

@@ -21,7 +21,8 @@ class HierarchySummaries {
  public:
   // `hierarchy` and the summaries must outlive this object.
   // classifications[i] is the category of database i (any node, not
-  // necessarily a leaf).
+  // necessarily a leaf); aborts unless there is one per summary, each a
+  // node of `hierarchy`.
   HierarchySummaries(
       const corpus::TopicHierarchy* hierarchy,
       std::vector<const summary::ContentSummary*> database_summaries,

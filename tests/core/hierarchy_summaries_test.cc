@@ -134,5 +134,14 @@ TEST_F(HierarchySummariesTest, EmptyCategoryAggregatesToEmpty) {
   EXPECT_EQ(hs.uniform_probability(), 0.0);
 }
 
+using HierarchySummariesDeathTest = HierarchySummariesTest;
+
+TEST_F(HierarchySummariesDeathTest, ShortClassificationVectorAborts) {
+  const std::vector<corpus::CategoryId> classifications = {heart_, heart_,
+                                                           health_};
+  EXPECT_DEATH((void)HierarchySummaries(&hierarchy_, ptrs_, classifications),
+               "3 classifications for 4 database summaries");
+}
+
 }  // namespace
 }  // namespace fedsearch::core
