@@ -16,11 +16,13 @@
 #   tsa             clang -Wthread-safety -Werror replay of every project TU
 #                   (tools/run_clang_tsa.py) — enforces the FEDSEARCH_*
 #                   thread-safety annotations that gcc compiles as no-ops
-#   asan            Debug + AddressSanitizer, full ctest suite (minus bench)
+#   asan            Debug + AddressSanitizer, full ctest suite (minus bench
+#                   and examples)
 #   ubsan           Debug + UndefinedBehaviorSanitizer, same suite as asan
 #   tsan            Debug + ThreadSanitizer, concurrency tests only
 #                   (labels: stress + threads) to bound runtime
-#   release         Release tree, full ctest suite (minus bench)
+#   release         Release tree, full ctest suite (minus bench), the four
+#                   examples/ programs included (label: examples)
 #   fuzz-regression corpus replay + bounded deterministic mutations
 #   smoke           serving-throughput bench smoke (serial==parallel check)
 #                   + Perfetto trace export validated by analyze_timeline.py
@@ -62,7 +64,11 @@
 # --clean removes build-ci/ first for a from-scratch rebuild. The bench
 # label is excluded from the sanitizer/release ctest sweeps — perf numbers
 # from instrumented trees would gate on noise; perf-smoke owns the
-# telemetry run, against the Release tree.
+# telemetry run, against the Release tree. The examples label (each
+# examples/ program run end to end, 2-6 s apiece in Release) is excluded
+# from the asan and ubsan sweeps only: instrumented, they would add
+# minutes for code the rest of the suite already covers, and the release
+# job runs them.
 #
 # Every tree builds with -DFEDSEARCH_DCHECK=ON so debug-only invariants
 # (lambda simplex, finite gamma, cache-key bounds) are checked in CI even
@@ -234,14 +240,16 @@ fi
 if selected asan; then
   begin_job asan
   ensure_tree asan -DCMAKE_BUILD_TYPE=Debug -DFEDSEARCH_SANITIZE=address
-  run ctest --test-dir build-ci/asan --output-on-failure -j "$JOBS" -LE bench
+  run ctest --test-dir build-ci/asan --output-on-failure -j "$JOBS" \
+    -LE 'bench|examples'
   end_job
 fi
 
 if selected ubsan; then
   begin_job ubsan
   ensure_tree ubsan -DCMAKE_BUILD_TYPE=Debug -DFEDSEARCH_SANITIZE=undefined
-  run ctest --test-dir build-ci/ubsan --output-on-failure -j "$JOBS" -LE bench
+  run ctest --test-dir build-ci/ubsan --output-on-failure -j "$JOBS" \
+    -LE 'bench|examples'
   end_job
 fi
 
