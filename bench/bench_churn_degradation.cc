@@ -556,15 +556,13 @@ int main(int argc, char** argv) {
     scenario.Add("shed", static_cast<double>(run.stats.shed()));
     scenario.Add("expired", static_cast<double>(run.stats.expired()));
     scenario.Add("refresh_probes", static_cast<double>(run.probes));
-    // Worker-timing dependent (eviction/stale attribution races with
-    // in-flight old-epoch requests): informational only, excluded from
-    // the rerun identity above.
+    // Worker-timing dependent (which epoch's snapshot an in-flight
+    // request reads races with the refresh): informational only, excluded
+    // from the rerun identity above.
     scenario.Add("wall_cache_hits", static_cast<double>(run.cache.hits));
     scenario.Add("wall_cache_misses", static_cast<double>(run.cache.misses));
     scenario.Add("wall_cache_evictions",
                  static_cast<double>(run.cache.evictions));
-    scenario.Add("wall_cache_stale_misses",
-                 static_cast<double>(run.cache.stale_misses));
     runs.push_back(std::move(run));
   }
 

@@ -27,16 +27,17 @@
 #   smoke           serving-throughput bench smoke (serial==parallel check)
 #                   + Perfetto trace export validated by analyze_timeline.py
 #   broker          broker-labeled tests + overload bench smoke with request
-#                   tracing on, gated against bench/baselines/
-#                   BENCH_broker.json (virtual-time numbers: the gate
-#                   doubles as a bit-reproducibility check) and its timeline
-#                   validated by analyze_timeline.py
+#                   tracing on, gated exactly (--exact) against
+#                   bench/baselines/BENCH_broker.json (virtual-time numbers:
+#                   the gate doubles as a bit-reproducibility check) and its
+#                   timeline validated by analyze_timeline.py
 #   churn           churn-labeled tests (corpus churn, refresh scheduling,
 #                   epoch-versioned publication) + churn-degradation bench
-#                   smoke gated against bench/baselines/BENCH_churn.json;
-#                   the bench reruns every scenario internally and fails on
-#                   any non-bit-identical request stream, so the gate
-#                   doubles as a determinism check
+#                   smoke gated exactly (--exact) against
+#                   bench/baselines/BENCH_churn.json; the bench reruns every
+#                   scenario internally and fails on any non-bit-identical
+#                   request stream, so the gate doubles as a determinism
+#                   check
 #   perf-smoke      Release bench smoke with --json telemetry, gated against
 #                   the committed baseline in bench/baselines/ by
 #                   tools/check_bench_regression.py (>15% qps drop or
@@ -302,9 +303,9 @@ fi
 if selected broker; then
   begin_job broker
   # Unit + stress + bench-smoke coverage for the serving broker, then the
-  # overload bench gated against its committed baseline. The bench reports
-  # only virtual-time numbers, so the gate tolerances are slack for real
-  # regressions and the comparison is effectively exact.
+  # overload bench gated against its committed baseline. Every value but
+  # the wall_ ones is virtual-time and deterministic, so --exact requires
+  # each to equal the baseline.
   run ctest --test-dir build-ci/release --output-on-failure -j "$JOBS" \
     -L broker
   # Tracing rides along: the per-request timeline the smoke run exports
@@ -316,7 +317,7 @@ if selected broker; then
     --json build-ci/release/BENCH_broker.json \
     --trace-out build-ci/release/broker_trace.json
   run python3 tools/analyze_timeline.py build-ci/release/broker_trace.json
-  run python3 tools/check_bench_regression.py \
+  run python3 tools/check_bench_regression.py --exact \
     bench/baselines/BENCH_broker.json build-ci/release/BENCH_broker.json
   end_job
 fi
@@ -328,14 +329,15 @@ if selected churn; then
   # gated run below owns that here). Then the churn-degradation bench —
   # which internally reruns every scenario and fails on any
   # non-bit-identical request stream — gated against its committed
-  # baseline. Scores and virtual-time numbers are deterministic, so the
-  # gate doubles as a reproducibility check; only wall_* metrics carry
-  # load noise and those are informational.
+  # baseline. Scores and virtual-time numbers are deterministic, so
+  # --exact requires each to equal the baseline and the gate doubles as a
+  # reproducibility check; only wall_* metrics carry load noise and those
+  # are informational.
   run ctest --test-dir build-ci/release --output-on-failure -j "$JOBS" \
     -L churn -LE bench
   run ./build-ci/release/bench/bench_churn_degradation --smoke \
     --json build-ci/release/BENCH_churn.json
-  run python3 tools/check_bench_regression.py \
+  run python3 tools/check_bench_regression.py --exact \
     bench/baselines/BENCH_churn.json build-ci/release/BENCH_churn.json
   end_job
 fi

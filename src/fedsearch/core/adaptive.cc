@@ -361,20 +361,13 @@ AdaptiveSummarySelector::Uncertainty AdaptiveSummarySelector::Evaluate(
   // database. Uncached evaluations still share one grid basis across the
   // query's words.
   std::vector<DocFrequencyPosterior> owned;
-  // Keep-alive for cache-returned posteriors: under live refresh a newer
-  // epoch may evict the shard mid-evaluation, so the raw pointers in
-  // `terms` must be backed by owning references until the moments are
-  // computed.
-  std::vector<std::shared_ptr<const DocFrequencyPosterior>> cached;
   std::shared_ptr<const PosteriorGridBasis> local_basis;
   owned.reserve(cache == nullptr ? terms.size() : 0);
-  cached.reserve(cache != nullptr ? terms.size() : 0);
   for (DistinctTerm& t : terms) {
     if (cache != nullptr) {
-      cached.push_back(cache->Get(database_index, t.sample_df,
-                                  sample.sample_size, db_size, gamma,
-                                  options_.grid_points, epoch, trace));
-      t.posterior = cached.back().get();
+      t.posterior = cache->Get(database_index, t.sample_df,
+                               sample.sample_size, db_size, gamma,
+                               options_.grid_points, epoch, trace);
     } else {
       if (local_basis == nullptr) {
         local_basis = std::make_shared<PosteriorGridBasis>(

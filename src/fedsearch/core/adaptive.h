@@ -162,8 +162,8 @@ class AdaptiveSummarySelector {
   // approaches 100%. Results are bit-identical to the uncached overload.
   //
   // `epoch` is the summary epoch of `sample` for this database (0 for
-  // static deployments); the cache uses it to decide between its memo,
-  // eviction, and a private stale-reader build (see PosteriorCache).
+  // static deployments); the cache checks it against the epoch its shard
+  // was pinned at (see PosteriorCache).
   //
   // A non-null `deadline` marks this evaluation as one unit of bounded
   // work: the call charges Costs::adaptive_evaluation_ms on entry — the

@@ -10,11 +10,10 @@ namespace fedsearch::core {
 // A statically-built Metasearcher serves epoch 0 forever. Under a
 // LiveMetasearcher (core/live_metasearcher.h), every published snapshot
 // carries a global epoch plus a per-database summary epoch: the epoch at
-// which that database's sample was last re-probed. Epoch-keyed caches
-// (PosteriorCache) use the per-database value to decide whether their
-// memoized state still describes the summary a caller is scoring with —
-// strictly monotone, never reused, so "newer epoch" always means "newer
-// summary".
+// which that database's sample was last re-probed — strictly monotone,
+// never reused, so "newer epoch" always means "newer summary". A
+// PosteriorCache shard records the epoch it was pinned at, and a caller
+// scoring with another epoch's summary fails its FEDSEARCH_DCHECK.
 using SummaryEpoch = uint64_t;
 
 }  // namespace fedsearch::core

@@ -14,21 +14,15 @@ LiveMetasearcher::LiveMetasearcher(
     std::vector<sampling::SampleResult> samples,
     std::vector<corpus::CategoryId> classifications,
     MetasearcherOptions options)
-    : hierarchy_(hierarchy),
-      base_options_(std::move(options)),
-      posterior_cache_(std::make_shared<PosteriorCache>(samples.size())) {
+    : hierarchy_(hierarchy), base_options_(std::move(options)) {
   // The refresh machinery owns the live-plumbing fields; a caller
-  // pre-filling them would fight the prior/cache bookkeeping below.
-  FEDSEARCH_CHECK(base_options_.shared_posterior_cache == nullptr &&
-                  base_options_.prior == nullptr &&
+  // pre-filling them would fight the prior bookkeeping below.
+  FEDSEARCH_CHECK(base_options_.prior == nullptr &&
                   base_options_.changed_databases.empty())
       << " live-refresh option fields must be left at their defaults";
-  base_options_.shared_posterior_cache = posterior_cache_;
   auto first = std::make_shared<const Metasearcher>(
       hierarchy_, std::move(samples), std::move(classifications),
       base_options_);
-  util::MutexLock writer_lock(writer_mu_);
-  stats_at_publish_ = posterior_cache_->stats();
   util::MutexLock lock(mu_);
   current_ = std::move(first);
 }
@@ -40,9 +34,8 @@ std::shared_ptr<const Metasearcher> LiveMetasearcher::Snapshot() const {
 
 SummaryEpoch LiveMetasearcher::epoch() const { return Snapshot()->epoch(); }
 
-std::vector<EpochCacheStats> LiveMetasearcher::cache_history() const {
-  util::MutexLock writer_lock(writer_mu_);
-  return cache_history_;
+PosteriorCache::Stats LiveMetasearcher::posterior_cache_stats() const {
+  return Snapshot()->posterior_cache_stats();
 }
 
 util::Status LiveMetasearcher::ApplyRefresh(
@@ -88,24 +81,13 @@ util::Status LiveMetasearcher::ApplyRefresh(
   MetasearcherOptions options = base_options_;
   options.prior = prior.get();
   options.changed_databases = std::move(changed);
-  // The expensive part — aggregates, shrinkage, statistics, re-pinning —
-  // runs here with only writer_mu_ held: Snapshot() callers keep being
-  // served the prior epoch until the single pointer swap below.
+  // The expensive part — aggregates, shrinkage, statistics, the derived
+  // posterior cache and its pins — runs here with only writer_mu_ held:
+  // Snapshot() callers keep being served the prior epoch until the single
+  // pointer swap below.
   auto next = std::make_shared<const Metasearcher>(
       hierarchy_, std::move(samples), std::move(classifications),
       std::move(options));
-
-  // Attribute the cache counters accumulated under the superseded epoch.
-  const PosteriorCache::Stats now = posterior_cache_->stats();
-  EpochCacheStats completed;
-  completed.epoch = prior->epoch();
-  completed.stats.hits = now.hits - stats_at_publish_.hits;
-  completed.stats.misses = now.misses - stats_at_publish_.misses;
-  completed.stats.evictions = now.evictions - stats_at_publish_.evictions;
-  completed.stats.stale_misses =
-      now.stale_misses - stats_at_publish_.stale_misses;
-  cache_history_.push_back(completed);
-  stats_at_publish_ = now;
   util::GlobalMetrics().gauge("serving.summary_epoch").Set(
       static_cast<double>(next->epoch()));
 

@@ -55,13 +55,6 @@ struct SummaryUpdate {
   corpus::CategoryId classification = 0;
 };
 
-// Posterior-cache activity attributed to one epoch: the counter deltas
-// accumulated while that epoch's snapshot was current.
-struct EpochCacheStats {
-  SummaryEpoch epoch = 0;
-  PosteriorCache::Stats stats;
-};
-
 // Epoch-versioned Metasearcher publication with RCU-style hot swap.
 //
 // Readers call Snapshot() and score against an immutable Metasearcher;
@@ -75,18 +68,18 @@ struct EpochCacheStats {
 // waits for in-flight queries: snapshots pinned by running requests are
 // reclaimed by shared_ptr when the last reader drops them.
 //
-// The posterior cache is shared across snapshots so the working set of
-// grids for unchanged databases survives a refresh; the per-database
-// summary epochs each snapshot derives from its prior key its
-// invalidation (see PosteriorCache's epoch contract — re-probed shards
-// evict lazily on first use, readers on older snapshots build privately).
+// Each snapshot's posterior cache is derived from its prior's: it shares
+// the shards of the databases the batch left unchanged, so their working
+// set of grids survives a refresh, and starts each re-probed database's
+// shard empty. No refresh alters a shard that a reader of an older
+// snapshot may be using.
 class LiveMetasearcher : public MetasearcherSource {
  public:
   // Builds and publishes the epoch-0 snapshot over the samples and
   // classifications, which it takes without copying. `hierarchy` must
-  // outlive this object. `options.shared_posterior_cache`, `options.prior`
-  // and `options.changed_databases` are owned by the refresh machinery and
-  // must be left at their defaults.
+  // outlive this object. `options.prior` and `options.changed_databases`
+  // are owned by the refresh machinery and must be left at their
+  // defaults.
   LiveMetasearcher(const corpus::TopicHierarchy* hierarchy,
                    std::vector<sampling::SampleResult> samples,
                    std::vector<corpus::CategoryId> classifications,
@@ -114,35 +107,23 @@ class LiveMetasearcher : public MetasearcherSource {
   // Epoch of the currently published snapshot.
   [[nodiscard]] SummaryEpoch epoch() const FEDSEARCH_EXCLUDES(mu_);
 
-  // Cumulative shared posterior-cache counters (all epochs).
-  [[nodiscard]] PosteriorCache::Stats posterior_cache_stats() const {
-    return posterior_cache_->stats();
-  }
-
-  // Per-epoch cache attribution for every epoch that has been superseded:
-  // entry i holds the counter deltas observed while epoch i's snapshot
-  // was the published one. The current epoch's in-progress delta is not
-  // included (it is still accumulating).
-  [[nodiscard]] std::vector<EpochCacheStats> cache_history() const
-      FEDSEARCH_EXCLUDES(writer_mu_);
+  // Posterior-cache counters of the published snapshot, cumulative over
+  // every epoch (each snapshot's cache counts into its prior's counters).
+  [[nodiscard]] PosteriorCache::Stats posterior_cache_stats() const
+      FEDSEARCH_EXCLUDES(mu_);
 
  private:
   const corpus::TopicHierarchy* hierarchy_;
-  // The caller's options plus posterior_cache_; each snapshot copies them.
+  // The caller's options; each snapshot copies them.
   MetasearcherOptions base_options_;
-  std::shared_ptr<PosteriorCache> posterior_cache_;
 
   // Lock order: writer_mu_ before mu_. ApplyRefresh holds writer_mu_
   // across the whole refresh (reading the published snapshot + building
   // the next) and takes mu_ only to read the published pointer and for
   // the final pointer swap; nothing acquires writer_mu_ while holding mu_.
-  // Holding writer_mu_ keeps the published snapshot the one the next is
-  // built from.
+  // LOCK-FREE: guards no member — it serializes refreshes, so that the
+  // published snapshot stays the one the next is built from.
   mutable util::Mutex writer_mu_ FEDSEARCH_ACQUIRED_BEFORE(mu_);
-  // Per-epoch cache attribution: counters at the last publication, and
-  // the completed-epoch deltas.
-  PosteriorCache::Stats stats_at_publish_ FEDSEARCH_GUARDED_BY(writer_mu_);
-  std::vector<EpochCacheStats> cache_history_ FEDSEARCH_GUARDED_BY(writer_mu_);
 
   // Lock order: mu_ is terminal — it guards only the published pointer
   // and is never held while taking another lock (the swap and the read

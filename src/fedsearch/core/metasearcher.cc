@@ -108,12 +108,13 @@ Metasearcher::Metasearcher(
 
   // Serving-layer state: the samples are immutable for this snapshot's
   // lifetime, so the plain corpus statistics are computed once (off the
-  // per-query hot path) and the posterior cache only invalidates by epoch
-  // under live refresh.
+  // per-query hot path) and no posterior-cache grid ever goes stale.
   if (options_.prior != nullptr) {
     // Incremental path (live refresh): delta-update the prior snapshot's
     // plain statistics for the re-probed databases only; bit-identical to
-    // the full scan below. This snapshot is the prior's next epoch.
+    // the full scan below. This snapshot is the prior's next epoch, and
+    // its posterior cache keeps the prior's grids for every database the
+    // refresh left unchanged.
     const Metasearcher& prior = *options_.prior;
     FEDSEARCH_CHECK(prior.num_databases() == samples_.size())
         << " prior snapshot has " << prior.num_databases()
@@ -130,9 +131,12 @@ Metasearcher::Metasearcher(
     epoch_ = prior.epoch_ + 1;
     summary_epochs_ = prior.summary_epochs_;
     for (size_t i : options_.changed_databases) summary_epochs_[i] = epoch_;
+    posterior_cache_ = std::make_unique<PosteriorCache>(
+        *prior.posterior_cache_, options_.changed_databases);
   } else {
     summary_epochs_.assign(samples_.size(), 0);
     plain_statistics_ = selection::ScoringStatisticsCache(plain_views);
+    posterior_cache_ = std::make_unique<PosteriorCache>(samples_.size());
   }
   // The prior snapshot and change list are construction-time inputs only;
   // clearing them keeps options_ free of a pointer into a snapshot that
@@ -140,24 +144,13 @@ Metasearcher::Metasearcher(
   options_.prior = nullptr;
   options_.changed_databases.clear();
   options_.changed_databases.shrink_to_fit();
-  if (options_.shared_posterior_cache != nullptr) {
-    // A cache shared across snapshots is never Reset here — its value is
-    // exactly the surviving working set; epoch keys evict the re-probed
-    // shards lazily.
-    posterior_cache_ = options_.shared_posterior_cache;
-    FEDSEARCH_CHECK(posterior_cache_->num_databases() == samples_.size())
-        << " shared posterior cache covers "
-        << posterior_cache_->num_databases() << " databases, federation has "
-        << samples_.size();
-  } else {
-    posterior_cache_ = std::make_shared<PosteriorCache>(samples_.size());
-  }
   // Pin each shard's posterior parameters and build the shared grid basis
   // (support + γ·ln d prior + binomial log-bases) here, off the query
   // path: the parameters are constants of the database's sample at its
   // epoch, and pinning them up front turns any later mismatch into a
-  // DCHECK instead of a silently stale grid. Degraded databases never
-  // reach the adaptive evaluation, so their shards stay unpinned.
+  // DCHECK instead of a silently stale grid. A shard shared with the prior
+  // is already pinned with these values. Degraded databases never reach
+  // the adaptive evaluation, so their shards stay unpinned.
   for (size_t i = 0; i < samples_.size(); ++i) {
     if (degraded_[i]) continue;
     const sampling::SampleResult& s = *samples_[i];

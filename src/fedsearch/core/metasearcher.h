@@ -50,19 +50,16 @@ struct MetasearcherOptions {
   size_t num_threads = 1;
 
   // --- Live-refresh plumbing (set by LiveMetasearcher when it builds a
-  // snapshot; static deployments leave all of these at their defaults). ---
+  // snapshot; static deployments leave both at their defaults). ---
   //
-  // Posterior cache shared across successive snapshots so the working set
-  // of unchanged databases survives a refresh (epoch keys evict only the
-  // re-probed shards). Must cover exactly this federation's database
-  // count. When null, the metasearcher owns a private cache.
-  std::shared_ptr<PosteriorCache> shared_posterior_cache;
   // The previous snapshot and the (unique) indices whose samples differ
   // from it. A snapshot built with a prior is the prior's next epoch: its
   // epoch() is prior->epoch() + 1, each changed database's summary takes
   // that epoch and every other keeps the prior's. Its plain statistics are
   // produced via ScoringStatisticsCache::Rebuilt — O(changed × vocabulary)
-  // instead of a full rescan — bit-identical to the scan. Both fields are
+  // instead of a full rescan — bit-identical to the scan, and its
+  // posterior cache is derived from the prior's (shared shards for the
+  // unchanged databases, empty ones for the changed). Both fields are
   // consumed during construction and cleared (the prior snapshot need not
   // outlive this one).
   const Metasearcher* prior = nullptr;
@@ -130,12 +127,13 @@ class Metasearcher {
   SummaryEpoch epoch() const { return epoch_; }
   SummaryEpoch summary_epoch(size_t i) const { return summary_epochs_[i]; }
   // Hit/miss/evict counters of the per-(database, sample_df) posterior
-  // cache the adaptive path reads; serving-layer instrumentation.
-  // Under a shared cache (live refresh) these aggregate across snapshots.
+  // cache the adaptive path reads; serving-layer instrumentation. A
+  // snapshot built with options.prior counts into its prior's counters,
+  // so under live refresh these are cumulative across snapshots.
   PosteriorCache::Stats posterior_cache_stats() const {
     return posterior_cache_->stats();
   }
-  // Materialized posterior grids across all databases.
+  // Posterior grids this snapshot's cache holds, across all databases.
   size_t posterior_cache_size() const { return posterior_cache_->size(); }
   // Corpus statistics (cf(w) over the full vocabulary, mean collection
   // word count) of the unshrunk summaries, built with the snapshot. The
@@ -239,9 +237,9 @@ class Metasearcher {
   // cache it points to is immutable.
   mutable std::unique_ptr<const selection::ScoringStatisticsCache>
       shrunk_statistics_ FEDSEARCH_GUARDED_BY(shrunk_statistics_mu_);
-  // Private by default; LiveMetasearcher passes one shared across
-  // snapshots (options.shared_posterior_cache). Never null.
-  std::shared_ptr<PosteriorCache> posterior_cache_;
+  // Derived from the prior's cache when built with options.prior (see
+  // there). Never null.
+  std::unique_ptr<PosteriorCache> posterior_cache_;
   size_t num_threads_ = 1;
   std::unique_ptr<util::ThreadPool> pool_;  // null when serving serially
 };

@@ -6,81 +6,74 @@
 
 namespace fedsearch::core {
 
-PosteriorCache::PosteriorCache(size_t num_databases) {
-  Reset(num_databases);
-}
-
-void PosteriorCache::Reset(size_t num_databases) {
-  shards_.clear();
+PosteriorCache::PosteriorCache(size_t num_databases)
+    : counters_(std::make_shared<Counters>()) {
   shards_.reserve(num_databases);
   for (size_t i = 0; i < num_databases; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+    shards_.push_back(std::make_shared<Shard>());
   }
-  hits_.Reset();
-  misses_.Reset();
-  evictions_.Reset();
-  stale_misses_.Reset();
+}
+
+PosteriorCache::PosteriorCache(const PosteriorCache& prior,
+                               const std::vector<size_t>& changed)
+    : shards_(prior.shards_), counters_(prior.counters_) {
+  static util::Counter& global_evictions =
+      util::GlobalMetrics().counter("posterior_cache.evictions");
+  for (size_t i : changed) {
+    FEDSEARCH_CHECK(i < shards_.size())
+        << " changed database " << i << " of " << shards_.size();
+    // The prior keeps serving its own shard; only this cache lets go.
+    // (A repeated index finds the fresh shard and drops nothing.)
+    Shard& shard = *shards_[i];
+    uint64_t dropped = 0;
+    {
+      util::MutexLock lock(shard.mu);
+      dropped = shard.by_df.size();
+    }
+    counters_->evictions.Add(dropped);
+    global_evictions.Add(dropped);
+    shards_[i] = std::make_shared<Shard>();
+  }
 }
 
 const std::shared_ptr<const PosteriorGridBasis>&
 PosteriorCache::EnsureBasisLocked(size_t database, Shard& shard,
-                                  size_t sample_size, double db_size,
-                                  double gamma, size_t grid_points) {
+                                  const Params& params) {
   if (!shard.has_params) {
-    shard.params = Params{sample_size, db_size, gamma, grid_points};
+    shard.params = params;
     shard.has_params = true;
   } else {
     // The cache key is (database, sample_df) only: parameters that drift
     // between calls would silently hand back grids built from stale
-    // values, so the first-seen parameters are pinned per shard — until a
-    // newer epoch evicts the shard and re-pins them.
-    FEDSEARCH_DCHECK(shard.params.sample_size == sample_size &&
-                     shard.params.db_size == db_size &&
-                     shard.params.gamma == gamma &&
-                     shard.params.grid_points == grid_points)
+    // values, so the first-seen parameters are pinned per shard. A
+    // re-probed database gets a fresh shard in the derived cache instead.
+    FEDSEARCH_DCHECK(shard.params.sample_size == params.sample_size &&
+                     shard.params.db_size == params.db_size &&
+                     shard.params.gamma == params.gamma &&
+                     shard.params.grid_points == params.grid_points &&
+                     shard.params.epoch == params.epoch)
         << " posterior params changed for database " << database
         << ": sample_size " << shard.params.sample_size << " vs "
-        << sample_size << ", db_size " << shard.params.db_size << " vs "
-        << db_size << ", gamma " << shard.params.gamma << " vs " << gamma
-        << ", grid_points " << shard.params.grid_points << " vs "
-        << grid_points;
+        << params.sample_size << ", db_size " << shard.params.db_size
+        << " vs " << params.db_size << ", gamma " << shard.params.gamma
+        << " vs " << params.gamma << ", grid_points "
+        << shard.params.grid_points << " vs " << params.grid_points
+        << ", epoch " << shard.params.epoch << " vs " << params.epoch;
   }
   if (shard.basis == nullptr) {
-    shard.basis =
-        std::make_shared<PosteriorGridBasis>(db_size, gamma, grid_points);
+    shard.basis = std::make_shared<PosteriorGridBasis>(
+        params.db_size, params.gamma, params.grid_points);
   }
   return shard.basis;
 }
 
-bool PosteriorCache::ReconcileEpochLocked(Shard& shard, SummaryEpoch epoch) {
-  if (epoch < shard.epoch) {
-    return true;  // Stale reader: the shard already serves a newer summary.
-  }
-  if (epoch > shard.epoch) {
-    // First caller through a freshly published snapshot: the memoized
-    // grids describe a summary that no longer exists. Dropping params and
-    // basis lets the caller re-pin the new sample's parameters.
-    static util::Counter& global_evictions =
-        util::GlobalMetrics().counter("posterior_cache.evictions");
-    const uint64_t dropped = shard.by_df.size();
-    evictions_.Add(dropped);
-    global_evictions.Add(dropped);
-    shard.by_df.clear();
-    shard.basis.reset();
-    shard.has_params = false;
-    shard.params = Params{};
-    shard.epoch = epoch;
-  }
-  return false;
-}
-
-std::shared_ptr<const DocFrequencyPosterior> PosteriorCache::Get(
+const DocFrequencyPosterior* PosteriorCache::Get(
     size_t database, size_t sample_df, size_t sample_size, double db_size,
     double gamma, size_t grid_points, SummaryEpoch epoch,
     const util::TraceContext& trace) {
   // Cache-key validity: a bad database index would silently alias another
   // shard's grids (and a different-keyed rebuild would corrupt the "one
-  // grid per (database, sample_df, epoch)" invariant).
+  // grid per (database, sample_df)" invariant).
   FEDSEARCH_CHECK(database < shards_.size())
       << " database " << database << " of " << shards_.size();
   FEDSEARCH_CHECK(grid_points > 0);
@@ -93,44 +86,26 @@ std::shared_ptr<const DocFrequencyPosterior> PosteriorCache::Get(
       util::GlobalMetrics().counter("posterior_cache.hits");
   static util::Counter& global_misses =
       util::GlobalMetrics().counter("posterior_cache.misses");
-  static util::Counter& global_stale =
-      util::GlobalMetrics().counter("posterior_cache.stale_misses");
-  if (ReconcileEpochLocked(shard, epoch)) {
-    // A reader on an older snapshot must get exactly the posterior its
-    // epoch's parameters imply, without disturbing the shard serving the
-    // current epoch — build privately, skip the memo and its parameter
-    // pin. Not counted as a miss: hit/miss accounting describes the
-    // current-epoch working set.
-    stale_misses_.Add();
-    global_stale.Add();
-    util::Tracer::Scope build_span("posterior_grid_build", trace);
-    build_span.AttrUint("database", database)
-        .AttrUint("sample_df", sample_df);
-    auto basis =
-        std::make_shared<PosteriorGridBasis>(db_size, gamma, grid_points);
-    return std::make_shared<DocFrequencyPosterior>(std::move(basis),
-                                                   sample_df, sample_size);
-  }
   // Pin-or-validate the shard parameters on EVERY call, hits included: a
   // hit under drifted parameters would otherwise silently serve a grid
   // built from stale values (the key is (database, sample_df) only).
   const std::shared_ptr<const PosteriorGridBasis>& basis = EnsureBasisLocked(
-      database, shard, sample_size, db_size, gamma, grid_points);
+      database, shard,
+      Params{sample_size, db_size, gamma, grid_points, epoch});
   auto it = shard.by_df.find(sample_df);
   if (it != shard.by_df.end()) {
-    hits_.Add();
+    counters_->hits.Add();
     global_hits.Add();
-    return it->second;
+    return &it->second;
   }
-  misses_.Add();
+  counters_->misses.Add();
   global_misses.Add();
   // Building under the shard lock keeps the invariant "one grid per key"
   // without a second lookup; construction is O(grid_points) and rare.
   util::Tracer::Scope build_span("posterior_grid_build", trace);
   build_span.AttrUint("database", database).AttrUint("sample_df", sample_df);
-  auto posterior = std::make_shared<const DocFrequencyPosterior>(
-      basis, sample_df, sample_size);
-  return shard.by_df.emplace(sample_df, std::move(posterior)).first->second;
+  return &shard.by_df.try_emplace(sample_df, basis, sample_df, sample_size)
+              .first->second;
 }
 
 void PosteriorCache::PinParams(size_t database, size_t sample_size,
@@ -142,19 +117,15 @@ void PosteriorCache::PinParams(size_t database, size_t sample_size,
   FEDSEARCH_DCHECK(std::isfinite(gamma) && std::isfinite(db_size));
   Shard& shard = *shards_[database];
   util::MutexLock lock(shard.mu);
-  if (ReconcileEpochLocked(shard, epoch)) {
-    return;  // Stale pin: the shard already serves a newer summary.
-  }
-  EnsureBasisLocked(database, shard, sample_size, db_size, gamma,
-                    grid_points);
+  EnsureBasisLocked(database, shard,
+                    Params{sample_size, db_size, gamma, grid_points, epoch});
 }
 
 PosteriorCache::Stats PosteriorCache::stats() const {
   Stats s;
-  s.hits = hits_.value();
-  s.misses = misses_.value();
-  s.evictions = evictions_.value();
-  s.stale_misses = stale_misses_.value();
+  s.hits = counters_->hits.value();
+  s.misses = counters_->misses.value();
+  s.evictions = counters_->evictions.value();
   return s;
 }
 

@@ -15,8 +15,7 @@
 
 namespace fedsearch::core {
 
-// Memoizes DocFrequencyPosterior grids by (database, sample_df), versioned
-// by summary epoch.
+// Memoizes DocFrequencyPosterior grids by (database, sample_df).
 //
 // The posterior p(d_k | s_k) of Appendix B is a function of
 // (s_k, |S|, |D̂|, γ, grid_points) only. For a fixed database, everything
@@ -26,46 +25,46 @@ namespace fedsearch::core {
 // rebuilding the grid (64+ log-weight evaluations) leaves the per-query
 // evaluation path.
 //
-// Epoch contract (live refresh): each shard remembers the summary epoch it
-// was last pinned/filled at. A caller presenting a NEWER epoch (the first
-// query through a freshly published snapshot) lazily evicts the shard —
-// the old sample's grids describe a summary that no longer exists — and
-// re-pins it with the new parameters. A caller presenting an OLDER epoch
-// (a reader still scoring against a snapshot published before a refresh)
-// gets a privately built posterior without touching the shard at all, so
-// in-flight queries on stale snapshots stay bit-identical to a run pinned
-// at their epoch while never blocking the refresh. Static deployments pass
-// epoch 0 everywhere and the cache behaves as before. Eviction is why Get
-// returns shared_ptr: a stale-snapshot reader may hold grids across the
-// very eviction that drops the shard's owning references.
+// Live refresh: a snapshot's cache is derived from its prior's (the
+// two-argument constructor). The derived cache shares every shard whose
+// sample the refresh left unchanged and starts each re-probed database's
+// shard empty, so a refresh never alters a shard a reader may be using:
+// readers on a superseded snapshot keep its grids, and each snapshot's
+// working set for unchanged databases survives the refresh. Entries are
+// never erased, so a grid Get returns stays valid for the life of the
+// cache that returned it (and of every cache sharing its shard).
 //
 // Thread-safety: one mutex-guarded shard per database. The parallel
 // serving layer partitions work per database, so within one
 // SelectDatabases call each shard is touched by exactly one worker and
 // the locks are uncontended; they exist so concurrent SelectDatabases
-// calls on one Metasearcher — and epoch-crossing calls on a shared
-// LiveMetasearcher cache — remain safe.
+// calls on one Metasearcher — and calls on snapshots sharing a shard —
+// remain safe.
 class PosteriorCache {
  public:
   explicit PosteriorCache(size_t num_databases = 0);
 
-  // Drops all entries and counters and resizes to `num_databases` shards.
-  void Reset(size_t num_databases);
+  // The cache of `prior`'s next snapshot: shares every shard of `prior`
+  // except the `changed` databases' (each < num_databases()), which start
+  // empty. The grids those shards held count as evictions. Both caches
+  // keep counting into one set of counters.
+  PosteriorCache(const PosteriorCache& prior,
+                 const std::vector<size_t>& changed);
+
+  // Derivation is the only way to share shards.
+  PosteriorCache(const PosteriorCache&) = delete;
+  PosteriorCache& operator=(const PosteriorCache&) = delete;
 
   size_t num_databases() const { return shards_.size(); }
 
   // The posterior for word sample frequency `sample_df` in `database`,
   // built on first use from the given sample parameters. The caller must
-  // pass the same (sample_size, db_size, gamma, grid_points) for every
-  // call with the same (database, epoch) — they are properties of the
-  // database's sample at that epoch, not of the query. The shard records
-  // the first-seen parameters and FEDSEARCH_DCHECKs every later same-epoch
-  // call against them: a mismatch would otherwise silently return a grid
-  // built from stale parameters.
-  //
-  // `epoch` is the caller's summary epoch for this database (see the epoch
-  // contract above): newer-than-shard evicts and repins, older-than-shard
-  // builds privately (a stale miss), equal hits the memo.
+  // pass the same (sample_size, db_size, gamma, grid_points, epoch) for
+  // every call on a database's shard — they are properties of the
+  // database's sample at its summary epoch, not of the query. The shard
+  // records the first-seen values and FEDSEARCH_DCHECKs every later call
+  // against them: a mismatch would otherwise silently return a grid built
+  // from stale parameters.
   //
   // All of a database's posteriors share one PosteriorGridBasis (support,
   // γ·ln d prior, binomial log-bases), built on the shard's first miss —
@@ -76,7 +75,7 @@ class PosteriorCache {
   // the caller's request trace, so timelines show which requests paid the
   // cold-grid cost. Hits record nothing (one span per memoized build, not
   // per lookup). Observational only.
-  [[nodiscard]] std::shared_ptr<const DocFrequencyPosterior> Get(
+  [[nodiscard]] const DocFrequencyPosterior* Get(
       size_t database, size_t sample_df, size_t sample_size, double db_size,
       double gamma, size_t grid_points, SummaryEpoch epoch = 0,
       const util::TraceContext& trace = {});
@@ -84,19 +83,17 @@ class PosteriorCache {
   // Pre-registers `database`'s grid parameters at `epoch` and eagerly
   // builds its shared PosteriorGridBasis off the query path (the
   // Metasearcher calls this per database at construction). Idempotent for
-  // identical parameters; a conflicting same-epoch re-pin trips the same
-  // FEDSEARCH_DCHECK as a mismatched Get. A newer epoch evicts and repins;
-  // an older epoch is ignored (the shard already serves a newer summary).
+  // identical parameters; a conflicting re-pin trips the same
+  // FEDSEARCH_DCHECK as a mismatched Get.
   void PinParams(size_t database, size_t sample_size, double db_size,
                  double gamma, size_t grid_points, SummaryEpoch epoch = 0);
 
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
-    // Memoized grids dropped because a caller presented a newer epoch.
+    // Memoized grids dropped because a derived cache re-probed their
+    // database.
     uint64_t evictions = 0;
-    // Privately built posteriors served to callers on older epochs.
-    uint64_t stale_misses = 0;
     double hit_rate() const {
       const uint64_t total = hits + misses;
       return total > 0 ? static_cast<double>(hits) /
@@ -104,55 +101,54 @@ class PosteriorCache {
                        : 0.0;
     }
   };
+  // Cumulative over every cache derived from the same root.
   [[nodiscard]] Stats stats() const;
 
   // Total posterior grids currently materialized (across all databases).
   [[nodiscard]] size_t size() const;
 
  private:
-  // The per-database sample parameters every same-epoch Get call must
-  // agree on.
+  // The per-database sample parameters every call on a shard must agree
+  // on.
   struct Params {
     size_t sample_size = 0;
     double db_size = 1.0;
     double gamma = 0.0;
     size_t grid_points = 0;
+    SummaryEpoch epoch = 0;
   };
   struct Shard {
     // Lock order: mu is terminal — shard code never takes another shard's
-    // mu (each Get/PinParams touches exactly one shard) nor any other lock
-    // while holding it; the recording tracer's internal lock nests inside.
+    // mu (each Get/PinParams touches exactly one shard, and derivation
+    // locks one prior shard at a time) nor any other lock while holding
+    // it; the recording tracer's internal lock nests inside.
     util::Mutex mu;
-    SummaryEpoch epoch FEDSEARCH_GUARDED_BY(mu) = 0;
     bool has_params FEDSEARCH_GUARDED_BY(mu) = false;
     Params params FEDSEARCH_GUARDED_BY(mu);
     // Shared by every posterior of this database; built on first miss or
     // by PinParams.
     std::shared_ptr<const PosteriorGridBasis> basis FEDSEARCH_GUARDED_BY(mu);
-    std::unordered_map<size_t, std::shared_ptr<const DocFrequencyPosterior>>
-        by_df FEDSEARCH_GUARDED_BY(mu);
+    // Node-based, and never erased from: entry addresses are stable.
+    std::unordered_map<size_t, DocFrequencyPosterior> by_df
+        FEDSEARCH_GUARDED_BY(mu);
+  };
+  // Shared by a root cache and every cache derived from it (exposed via
+  // stats()); Get and derivation also mirror them into the global
+  // registry under posterior_cache.{hits,misses,evictions}.
+  struct Counters {
+    util::Counter hits;
+    util::Counter misses;
+    util::Counter evictions;
   };
 
   // Records (or validates) the shard's parameters and returns its basis,
   // building it on first use.
   const std::shared_ptr<const PosteriorGridBasis>& EnsureBasisLocked(
-      size_t database, Shard& shard, size_t sample_size, double db_size,
-      double gamma, size_t grid_points) FEDSEARCH_REQUIRES(shard.mu);
-
-  // Drops the shard's memoized state and advances it to `epoch` when the
-  // caller's epoch is newer. Returns true if the caller's epoch is older
-  // than the shard's (the stale-reader case).
-  bool ReconcileEpochLocked(Shard& shard, SummaryEpoch epoch)
+      size_t database, Shard& shard, const Params& params)
       FEDSEARCH_REQUIRES(shard.mu);
 
-  std::vector<std::unique_ptr<Shard>> shards_;
-  // Per-instance counts (exposed via stats()); Get also mirrors them into
-  // the global registry under posterior_cache.{hits,misses,evictions,
-  // stale_misses}.
-  util::Counter hits_;
-  util::Counter misses_;
-  util::Counter evictions_;
-  util::Counter stale_misses_;
+  std::vector<std::shared_ptr<Shard>> shards_;
+  std::shared_ptr<Counters> counters_;
 };
 
 }  // namespace fedsearch::core

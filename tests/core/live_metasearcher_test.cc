@@ -166,7 +166,7 @@ TEST(LiveMetasearcherTest, SummaryEpochsCarryAcrossRefreshes) {
 }
 
 TEST(LiveMetasearcherTest, RefreshedSnapshotMatchesFromScratchBuild) {
-  // The incremental path (ScoringStatisticsCache::Rebuilt + shared
+  // The incremental path (ScoringStatisticsCache::Rebuilt + derived
   // posterior cache + prior-based construction) must be invisible: after
   // any refresh sequence, scoring is bit-identical to a Metasearcher
   // built from scratch over the final samples.
@@ -242,25 +242,37 @@ TEST(LiveMetasearcherTest, EmptyRefreshStillAdvancesTheEpoch) {
   EXPECT_EQ(live.Snapshot()->summary_epoch(0), 0u);  // nothing re-probed
 }
 
-TEST(LiveMetasearcherTest, CacheHistoryAttributesTrafficToEpochs) {
+TEST(LiveMetasearcherTest, SupersededSnapshotKeepsItsGrids) {
+  // A refresh derives the next snapshot's posterior cache and leaves the
+  // published one's alone: a reader still on the superseded snapshot keeps
+  // hitting the grids it built, including the re-probed database's.
   const corpus::Testbed& bed = SharedChurnTestbed();
   LiveMetasearcher live(&bed.hierarchy(), SampleFederation(77),
                         Classifications());
-  EXPECT_TRUE(live.cache_history().empty());
-
-  // Drive posterior-cache traffic on epoch 0, then retire it.
+  const std::shared_ptr<const Metasearcher> snap0 = live.Snapshot();
   selection::BglossScorer bgloss;
-  const selection::Query q{bed.analyzer().Analyze(bed.queries()[0].text)};
-  (void)Rank(*live.Snapshot(), q, bgloss);
-  const PosteriorCache::Stats epoch0 = live.posterior_cache_stats();
-  ASSERT_TRUE(live.ApplyRefresh({}).ok());
+  std::vector<selection::Query> queries;
+  std::vector<std::vector<std::pair<size_t, double>>> warm;
+  for (const corpus::TestQuery& tq : bed.queries()) {
+    queries.push_back(selection::Query{bed.analyzer().Analyze(tq.text)});
+    warm.push_back(Rank(*snap0, queries.back(), bgloss));
+  }
+  const size_t warm_size = snap0->posterior_cache_size();
+  const PosteriorCache::Stats before = snap0->posterior_cache_stats();
 
-  const std::vector<EpochCacheStats> history = live.cache_history();
-  ASSERT_EQ(history.size(), 1u);
-  EXPECT_EQ(history[0].epoch, 0u);
-  EXPECT_EQ(history[0].stats.hits, epoch0.hits);
-  EXPECT_EQ(history[0].stats.misses, epoch0.misses);
-  EXPECT_EQ(history[0].stats.evictions, 0u);
+  ASSERT_TRUE(live.ApplyRefresh({Reprobe(0, 123456)}).ok());
+  // Database 0 held grids, and the refreshed snapshot dropped them.
+  ASSERT_GT(live.posterior_cache_stats().evictions, 0u);
+  EXPECT_LT(live.Snapshot()->posterior_cache_size(), warm_size);
+  EXPECT_EQ(snap0->posterior_cache_size(), warm_size);
+
+  for (size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_EQ(Rank(*snap0, queries[q], bgloss), warm[q]) << "query " << q;
+  }
+  const PosteriorCache::Stats after = snap0->posterior_cache_stats();
+  EXPECT_GT(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(snap0->posterior_cache_size(), warm_size);
 }
 
 }  // namespace

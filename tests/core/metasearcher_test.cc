@@ -33,6 +33,13 @@ class MetasearcherTest : public ::testing::Test {
                              std::move(classifications));
   }
 
+  // Frees the federation, so that every suite on this fixture sets up
+  // and tears down its own.
+  static void TearDownTestSuite() {
+    delete meta_;
+    meta_ = nullptr;
+  }
+
   static Metasearcher* meta_;
 };
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "fedsearch/util/check.h"
 
 #include "fedsearch/selection/bgloss.h"
@@ -12,12 +14,11 @@ namespace {
 
 TEST(PosteriorCacheTest, MissThenHitPerKey) {
   PosteriorCache cache(3);
-  const std::shared_ptr<const DocFrequencyPosterior> a =
+  const DocFrequencyPosterior* a =
       cache.Get(/*database=*/0, /*sample_df=*/5, /*sample_size=*/100,
                 /*db_size=*/10000, /*gamma=*/-2.0, /*grid_points=*/64);
-  const std::shared_ptr<const DocFrequencyPosterior> b =
-      cache.Get(0, 5, 100, 10000, -2.0, 64);
-  EXPECT_EQ(a.get(), b.get());  // one grid per key, pointer-stable
+  const DocFrequencyPosterior* b = cache.Get(0, 5, 100, 10000, -2.0, 64);
+  EXPECT_EQ(a, b);  // one grid per key, pointer-stable
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.size(), 1u);
@@ -25,36 +26,22 @@ TEST(PosteriorCacheTest, MissThenHitPerKey) {
 
 TEST(PosteriorCacheTest, KeysAreScopedPerDatabase) {
   PosteriorCache cache(2);
-  const std::shared_ptr<const DocFrequencyPosterior> a =
-      cache.Get(0, 5, 100, 10000, -2.0, 64);
-  const std::shared_ptr<const DocFrequencyPosterior> b =
-      cache.Get(1, 5, 200, 50000, -3.0, 64);
-  EXPECT_NE(a.get(), b.get());
+  const DocFrequencyPosterior* a = cache.Get(0, 5, 100, 10000, -2.0, 64);
+  const DocFrequencyPosterior* b = cache.Get(1, 5, 200, 50000, -3.0, 64);
+  EXPECT_NE(a, b);
   EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(PosteriorCacheTest, CachedGridMatchesDirectConstruction) {
   PosteriorCache cache(1);
-  const std::shared_ptr<const DocFrequencyPosterior> cached =
-      cache.Get(0, 30, 100, 1000, -2.0, 128);
+  const DocFrequencyPosterior* cached = cache.Get(0, 30, 100, 1000, -2.0, 128);
   const DocFrequencyPosterior direct(30, 100, 1000, -2.0, 128);
   ASSERT_EQ(cached->support().size(), direct.support().size());
   for (size_t i = 0; i < cached->support().size(); ++i) {
     EXPECT_EQ(cached->support()[i], direct.support()[i]);
     EXPECT_EQ(cached->weights()[i], direct.weights()[i]);
   }
-}
-
-TEST(PosteriorCacheTest, ResetDropsEntriesAndCounters) {
-  PosteriorCache cache(1);
-  (void)cache.Get(0, 1, 10, 100, -2.0, 16);
-  (void)cache.Get(0, 1, 10, 100, -2.0, 16);
-  cache.Reset(4);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 0u);
-  EXPECT_EQ(cache.num_databases(), 4u);
 }
 
 TEST(PosteriorCacheTest, HitRate) {
@@ -127,52 +114,58 @@ TEST(PosteriorCacheTest, PinParamsCostsNoCacheTraffic) {
   EXPECT_EQ(cache.size(), 0u);  // bases are not posterior entries
 }
 
-TEST(PosteriorCacheTest, NewerEpochEvictsShardEntries) {
-  PosteriorCache cache(2);
-  (void)cache.Get(0, 5, 100, 10000, -2.0, 64, /*epoch=*/0);
-  (void)cache.Get(0, 9, 100, 10000, -2.0, 64, /*epoch=*/0);
-  ASSERT_EQ(cache.size(), 2u);
-  // Epoch 1 arrives: the shard's epoch-0 grids are stale and go away. The
-  // refreshed summary may carry different parameters — that must NOT trip
-  // the param-drift DCHECK, because eviction resets the pinned params too.
-  const auto fresh = cache.Get(0, 5, 120, 20000, -2.5, 64, /*epoch=*/1);
-  EXPECT_NE(fresh, nullptr);
-  EXPECT_EQ(cache.stats().evictions, 2u);
-  EXPECT_EQ(cache.size(), 1u);
-  // Other shards are untouched: invalidation is per-database.
-  (void)cache.Get(1, 5, 100, 10000, -2.0, 64, /*epoch=*/0);
-  EXPECT_EQ(cache.stats().evictions, 2u);
-  EXPECT_EQ(cache.size(), 2u);
+TEST(PosteriorCacheTest, DerivedCacheSharesUnchangedShards) {
+  PosteriorCache prior(2);
+  const DocFrequencyPosterior* kept = prior.Get(0, 5, 100, 10000, -2.0, 64);
+  const DocFrequencyPosterior* replaced =
+      prior.Get(1, 5, 100, 20000, -3.0, 64);
+  (void)prior.Get(1, 9, 100, 20000, -3.0, 64);
+  ASSERT_EQ(prior.size(), 3u);
+
+  // Database 1 is re-probed: its two grids are dropped from the derived
+  // cache, and only from it.
+  PosteriorCache next(prior, {1});
+  EXPECT_EQ(next.num_databases(), 2u);
+  EXPECT_EQ(next.size(), 1u);
+  EXPECT_EQ(next.stats().evictions, 2u);
+  // Database 0's shard is shared: the same grid, served as a hit.
+  EXPECT_EQ(next.Get(0, 5, 100, 10000, -2.0, 64), kept);
+  // Database 1's shard starts empty and takes the new sample's parameters
+  // and summary epoch without tripping the parameter check.
+  const DocFrequencyPosterior* fresh =
+      next.Get(1, 5, 120, 30000, -2.5, 64, /*epoch=*/1);
+  EXPECT_NE(fresh, replaced);
+  EXPECT_DOUBLE_EQ(fresh->basis().db_size(), 30000.0);
+  EXPECT_EQ(next.size(), 2u);
+  // The prior still serves its own database-1 grid.
+  EXPECT_EQ(prior.Get(1, 5, 100, 20000, -3.0, 64), replaced);
+  EXPECT_EQ(prior.size(), 3u);
+  // Both caches count into one set of counters.
+  const PosteriorCache::Stats a = prior.stats();
+  const PosteriorCache::Stats b = next.stats();
+  EXPECT_EQ(a.hits, 2u);
+  EXPECT_EQ(a.misses, 4u);
+  EXPECT_EQ(a.evictions, 2u);
+  EXPECT_EQ(b.hits, a.hits);
+  EXPECT_EQ(b.misses, a.misses);
+  EXPECT_EQ(b.evictions, a.evictions);
 }
 
-TEST(PosteriorCacheTest, StaleEpochGetsPrivateGridWithoutEviction) {
+TEST(PosteriorCacheTest, GridOutlivesDerivation) {
+  // A grid stays valid for the life of the cache that returned it: a
+  // derived cache that re-probes its database, and that cache's end, leave
+  // it alone.
   PosteriorCache cache(1);
-  const auto current = cache.Get(0, 5, 100, 10000, -2.0, 64, /*epoch=*/3);
-  // A reader still scoring against epoch 2 neither pollutes nor evicts the
-  // shard: it gets a privately built grid, counted as a stale miss (not a
-  // miss — hits + misses stays the same-epoch traffic).
-  const auto stale = cache.Get(0, 5, 90, 9000, -2.0, 64, /*epoch=*/2);
-  EXPECT_NE(stale.get(), current.get());
-  EXPECT_EQ(cache.stats().stale_misses, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().evictions, 0u);
+  const DocFrequencyPosterior* held = cache.Get(0, 5, 100, 10000, -2.0, 64);
+  const std::vector<double> weights = held->weights();
+  {
+    PosteriorCache next(cache, {0});
+    EXPECT_EQ(next.stats().evictions, 1u);
+    (void)next.Get(0, 5, 120, 20000, -2.5, 64, /*epoch=*/1);
+  }
+  EXPECT_EQ(held->weights(), weights);  // still valid
+  EXPECT_EQ(cache.Get(0, 5, 100, 10000, -2.0, 64), held);
   EXPECT_EQ(cache.size(), 1u);
-  // The current epoch's entry still hits.
-  const auto again = cache.Get(0, 5, 100, 10000, -2.0, 64, /*epoch=*/3);
-  EXPECT_EQ(again.get(), current.get());
-  EXPECT_EQ(cache.stats().hits, 1u);
-}
-
-TEST(PosteriorCacheTest, EvictedGridStaysAliveForHolders) {
-  // The RCU half of the contract: eviction must not free a grid a reader
-  // is still iterating. The shared_ptr keeps it alive past the epoch swap.
-  PosteriorCache cache(1);
-  const auto held = cache.Get(0, 5, 100, 10000, -2.0, 64, /*epoch=*/0);
-  const double support_front = held->support().front();
-  (void)cache.Get(0, 5, 100, 10000, -2.0, 64, /*epoch=*/1);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(held->support().front(), support_front);  // still valid
-  EXPECT_EQ(held.use_count(), 1);                     // cache let go
 }
 
 #if FEDSEARCH_DCHECK_IS_ON
@@ -188,6 +181,17 @@ TEST(PosteriorCacheDeathTest, ParameterDriftIsFatal) {
   EXPECT_DEATH((void)cache.Get(0, 5, 100, 10000, -1.5, 64),
                "posterior params changed");
   EXPECT_DEATH((void)cache.Get(0, 5, 100, 10000, -2.0, 32),
+               "posterior params changed");
+}
+
+TEST(PosteriorCacheDeathTest, EpochMismatchIsFatal) {
+  // A shard serves one summary epoch: a caller scoring with another
+  // epoch's sample must use the cache derived for it.
+  PosteriorCache cache(1);
+  cache.PinParams(0, 100, 10000.0, -2.0, 64, /*epoch=*/3);
+  EXPECT_DEATH((void)cache.Get(0, 5, 100, 10000, -2.0, 64, /*epoch=*/2),
+               "posterior params changed");
+  EXPECT_DEATH((void)cache.Get(0, 5, 100, 10000, -2.0, 64, /*epoch=*/4),
                "posterior params changed");
 }
 

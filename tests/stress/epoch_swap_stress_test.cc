@@ -18,8 +18,8 @@
 // thread publishes new epochs from churned re-probes. The assertions are
 // the RCU contract itself — no torn reads (every ranking a reader computes
 // is bit-identical to a serial run pinned at the epoch the reader
-// observed), snapshots stay valid after being superseded, and the shared
-// posterior cache never leaks one epoch's grids into another's scores.
+// observed), snapshots stay valid after being superseded, and the derived
+// posterior caches never leak one epoch's grids into another's scores.
 
 namespace fedsearch::core {
 namespace {

@@ -26,6 +26,12 @@ must exist in the current report (a silently vanished scenario is a
 gate bypass, not a pass). Extra scenarios in the current report are
 allowed — they gate nothing until a new baseline is recorded.
 
+--exact is for reports whose every value but the wall_ ones is a
+deterministic function of the code (virtual-time and selection-quality
+numbers): each non-wall_ value of every baseline scenario must be present
+in the current report and equal to the baseline exactly, whatever its
+key. wall_ keys stay informational.
+
 Usage:
   check_bench_regression.py BASELINE.json CURRENT.json [options]
   check_bench_regression.py --validate REPORT.json
@@ -133,6 +139,7 @@ def compare(baseline: dict, current: dict,
             max_qps_drop: float = DEFAULT_MAX_QPS_DROP,
             max_p95_growth: float = DEFAULT_MAX_P95_GROWTH,
             min_gated_p95_us: float = DEFAULT_MIN_GATED_P95_US,
+            exact: bool = False,
             log=print) -> list[str]:
     """Gates `current` against `baseline`; returns failure descriptions."""
     failures: list[str] = []
@@ -145,6 +152,19 @@ def compare(baseline: dict, current: dict,
             continue
         values = current_by_name[name]
         for key, base in scenario["values"].items():
+            if exact and not key.startswith("wall_"):
+                if key not in values:
+                    failures.append(f"{name}/{key}: missing from current "
+                                    f"report")
+                    log(f"FAIL {name}/{key}: missing from current report")
+                elif values[key] != base:
+                    failures.append(f"{name}/{key}: {base!r} -> "
+                                    f"{values[key]!r}, expected exact")
+                    log(f"FAIL {name}/{key}: {base!r} -> {values[key]!r} "
+                        f"(exact)")
+                else:
+                    log(f"  ok {name}/{key}: {base!r} (exact)")
+                continue
             gate = gate_for_key(key)
             if gate is None or key not in values or base <= 0:
                 continue
@@ -239,6 +259,9 @@ def main(argv: list[str]) -> int:
                         help="p95 baselines below this many microseconds "
                              "are informational, not gated "
                              "(default %(default)s)")
+    parser.add_argument("--exact", action="store_true",
+                        help="every non-wall_ baseline value must be present "
+                             "and equal exactly (deterministic reports)")
     args = parser.parse_args(argv[1:])
 
     if args.check_orphans is not None:
@@ -283,7 +306,8 @@ def main(argv: list[str]) -> int:
     print(f"baseline: {args.reports[0]} (git {baseline['git_sha']})")
     print(f"current:  {args.reports[1]} (git {current['git_sha']})")
     failures = compare(baseline, current, args.max_qps_drop,
-                       args.max_p95_growth, args.min_gated_p95_us)
+                       args.max_p95_growth, args.min_gated_p95_us,
+                       args.exact)
     if failures:
         print(f"\ncheck_bench_regression: {len(failures)} gate(s) FAILED")
         return 1

@@ -194,6 +194,40 @@ status, out, _ = run_pair(make_report(), drift,
 check("tightened qps threshold trips on 10% drop", status == 1,
       f"(got {status}: {out})")
 
+# --exact: every non-wall_ value is gated at equality, whatever its key.
+status, out, _ = run_pair(make_report(), make_report(), ["--exact"])
+check("identical reports pass --exact", status == 0,
+      f"(got {status}: {out})")
+
+status, out, _ = run_pair(make_report(), wild, ["--exact"])
+check("changed ungated value fails --exact", status == 1,
+      f"(got {status}: {out})")
+check("--exact names the changed key", "speedup" in out, f"(got {out})")
+
+status, out, _ = run_pair(make_report(), drift, ["--exact"])
+check("drift within tolerance fails --exact", status == 1,
+      f"(got {status}: {out})")
+
+status, out, _ = run_pair(base_wall, loaded, ["--exact"])
+check("changed wall_ values pass --exact", status == 0,
+      f"(got {status}: {out})")
+
+dropped = copy.deepcopy(make_report())
+del dropped["scenarios"][0]["values"]["speedup"]
+status, out, _ = run_pair(make_report(), dropped)
+check("missing ungated key passes without --exact", status == 0,
+      f"(got {status}: {out})")
+status, out, _ = run_pair(make_report(), dropped, ["--exact"])
+check("missing non-wall_ key fails --exact", status == 1,
+      f"(got {status}: {out})")
+check("--exact names the missing key", "speedup" in out, f"(got {out})")
+
+no_wall = copy.deepcopy(base_wall)
+del no_wall["scenarios"][0]["values"]["wall_qps_serial"]
+status, out, _ = run_pair(base_wall, no_wall, ["--exact"])
+check("missing wall_ key passes --exact", status == 0,
+      f"(got {status}: {out})")
+
 # Malformed current report is a schema error (2), not a gate failure (1).
 status, _, err = run_pair(make_report(), {"schema_version": 1})
 check("malformed current report exits 2", status == 2, f"(got {status})")
