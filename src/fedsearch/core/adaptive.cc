@@ -41,16 +41,6 @@ AdaptiveMetrics& Metrics() {
   return *m;
 }
 
-// One distinct query term: its first occurrence in the query, its
-// occurrence count m_k, its sample document frequency s_k and its
-// posterior p(d_k | s_k).
-struct DistinctTerm {
-  size_t first = 0;
-  size_t count = 0;
-  size_t sample_df = 0;
-  const DocFrequencyPosterior* posterior = nullptr;
-};
-
 struct Moments {
   double mean = 0.0;
   double stddev = 0.0;
@@ -74,11 +64,12 @@ struct Moments {
 // var = mean²·expm1(x), evaluated as
 // sd = |init|·exp(L + x/2)·sqrt(−expm1(−x)) so a large x cannot overflow.
 // One log per term, none per grid point.
-Moments CombinedScoreMoments(const selection::ScoringFunction& scorer,
-                             const selection::Query& query,
-                             const summary::SummaryView& db,
-                             const selection::ScoringContext& context,
-                             const std::vector<DistinctTerm>& terms) {
+// posteriors[k] is terms[k]'s posterior p(d_k | s_k).
+Moments CombinedScoreMoments(
+    const selection::ScoringFunction& scorer, const selection::Query& query,
+    const summary::SummaryView& db, const selection::ScoringContext& context,
+    std::span<const AdaptiveSummarySelector::ResolvedTerm> terms,
+    const std::vector<const DocFrequencyPosterior*>& posteriors) {
   const double init = scorer.CombineInit(query, db, context);
   const bool product =
       scorer.term_combine() == selection::TermCombine::kProduct;
@@ -87,13 +78,14 @@ Moments CombinedScoreMoments(const selection::ScoringFunction& scorer,
   double log_mean = 0.0;   // kProduct: L
   double log_ratio = 0.0;  // kProduct: x
   std::vector<double> row;
-  for (const DistinctTerm& t : terms) {
-    const std::vector<double>& support = t.posterior->support();
-    const double* w = t.posterior->weights().data();
+  for (size_t k = 0; k < terms.size(); ++k) {
+    const AdaptiveSummarySelector::ResolvedTerm& t = terms[k];
+    const std::vector<double>& support = posteriors[k]->support();
+    const double* w = posteriors[k]->weights().data();
     const size_t n = support.size();
     row.resize(n);
-    scorer.TermContributionTable(query, t.first, db, context, support.data(),
-                                 n, row.data());
+    scorer.TermContributionTable(query, t.first, db, t.stats, context,
+                                 support.data(), n, row.data());
     double total = 0.0;
     double s1 = 0.0;
     double s2 = 0.0;
@@ -281,6 +273,38 @@ AdaptiveSummarySelector::Uncertainty AdaptiveSummarySelector::Evaluate(
     const selection::ScoringContext& context, util::Rng& /*rng: unused*/,
     PosteriorCache* cache, size_t database_index, SummaryEpoch epoch,
     util::Deadline* deadline, const util::TraceContext& trace) const {
+  // Duplicate query terms denote one latent document frequency: one
+  // posterior per DISTINCT term, in first-occurrence order, whose value
+  // every occurrence reuses. The linear scan keeps dedup deterministic
+  // without ordered containers, and queries are a handful of terms. Each
+  // distinct term's s_k and S(D) statistics are looked up here, once.
+  std::vector<ResolvedTerm> terms;
+  terms.reserve(query.terms.size());
+  for (size_t i = 0; i < query.terms.size(); ++i) {
+    const auto same =
+        std::find_if(terms.begin(), terms.end(), [&](const ResolvedTerm& t) {
+          return query.terms[t.first] == query.terms[i];
+        });
+    if (same != terms.end()) {
+      ++same->count;
+      continue;
+    }
+    const auto it = sample.sample_df.find(query.terms[i]);
+    terms.push_back(
+        ResolvedTerm{i, 1, it != sample.sample_df.end() ? it->second : 0,
+                     sample.summary.Stats(query.terms[i])});
+  }
+  return EvaluateResolved(query, terms, sample, scorer, context, cache,
+                          database_index, epoch, deadline, trace);
+}
+
+AdaptiveSummarySelector::Uncertainty AdaptiveSummarySelector::EvaluateResolved(
+    const selection::Query& query, std::span<const ResolvedTerm> terms,
+    const sampling::SampleResult& sample,
+    const selection::ScoringFunction& scorer,
+    const selection::ScoringContext& context, PosteriorCache* cache,
+    size_t database_index, SummaryEpoch epoch, util::Deadline* deadline,
+    const util::TraceContext& trace) const {
   Metrics().evaluations.Add();
   util::ScopedTimer evaluate_timer(Metrics().evaluate_ns);
   Uncertainty result;
@@ -309,27 +333,6 @@ AdaptiveSummarySelector::Uncertainty AdaptiveSummarySelector::Evaluate(
     return result;
   }
 
-  // Duplicate query terms denote one latent document frequency: one
-  // posterior per DISTINCT term, in first-occurrence order, whose value
-  // every occurrence reuses. The linear scan keeps dedup deterministic
-  // without ordered containers, and queries are a handful of terms. Each
-  // distinct term's s_k is looked up here, once.
-  std::vector<DistinctTerm> terms;
-  terms.reserve(query.terms.size());
-  for (size_t i = 0; i < query.terms.size(); ++i) {
-    const auto same =
-        std::find_if(terms.begin(), terms.end(), [&](const DistinctTerm& t) {
-          return query.terms[t.first] == query.terms[i];
-        });
-    if (same != terms.end()) {
-      ++same->count;
-    } else {
-      auto it = sample.sample_df.find(query.terms[i]);
-      terms.push_back(DistinctTerm{
-          i, 1, it != sample.sample_df.end() ? it->second : 0, nullptr});
-    }
-  }
-
   // Section 4's boundary-case gate: all words present (summary already
   // trustworthy for this query) or all words absent (the database is
   // confidently a poor match) -> no shrinkage. A single-word query cannot
@@ -341,7 +344,7 @@ AdaptiveSummarySelector::Uncertainty AdaptiveSummarySelector::Evaluate(
   if (options_.require_mixed_evidence && query.terms.size() > 1) {
     bool any_present = false;
     bool any_absent = false;
-    for (const DistinctTerm& t : terms) {
+    for (const ResolvedTerm& t : terms) {
       if (t.sample_df >= options_.present_min_df) any_present = true;
       if (t.sample_df == 0) any_absent = true;
     }
@@ -360,26 +363,28 @@ AdaptiveSummarySelector::Uncertainty AdaptiveSummarySelector::Evaluate(
   // cache is supplied, since all other posterior parameters are fixed per
   // database. Uncached evaluations still share one grid basis across the
   // query's words.
+  std::vector<const DocFrequencyPosterior*> posteriors;
+  posteriors.reserve(terms.size());
   std::vector<DocFrequencyPosterior> owned;
   std::shared_ptr<const PosteriorGridBasis> local_basis;
   owned.reserve(cache == nullptr ? terms.size() : 0);
-  for (DistinctTerm& t : terms) {
+  for (const ResolvedTerm& t : terms) {
     if (cache != nullptr) {
-      t.posterior = cache->Get(database_index, t.sample_df,
-                               sample.sample_size, db_size, gamma,
-                               options_.grid_points, epoch, trace);
+      posteriors.push_back(cache->Get(database_index, t.sample_df,
+                                      sample.sample_size, db_size, gamma,
+                                      options_.grid_points, epoch, trace));
     } else {
       if (local_basis == nullptr) {
         local_basis = std::make_shared<PosteriorGridBasis>(
             db_size, gamma, options_.grid_points);
       }
       owned.emplace_back(local_basis, t.sample_df, sample.sample_size);
-      t.posterior = &owned.back();
+      posteriors.push_back(&owned.back());
     }
   }
 
-  const Moments combined =
-      CombinedScoreMoments(scorer, query, sample.summary, context, terms);
+  const Moments combined = CombinedScoreMoments(
+      scorer, query, sample.summary, context, terms, posteriors);
   // FinalizeScore is affine in the combined score (selection/scoring.h):
   // the mean maps through it and the standard deviation scales by its
   // slope.

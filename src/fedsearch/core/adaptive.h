@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "fedsearch/core/epoch.h"
@@ -174,6 +175,9 @@ class AdaptiveSummarySelector {
   // the cost model regardless of gate outcomes.
   // `trace` (optional) parents the posterior_grid_build spans recorded on
   // cache misses under the caller's request trace; observational only.
+  //
+  // Both overloads dedup the query's terms, look up each distinct term's
+  // s_k and S(D) statistics in `sample`, and call EvaluateResolved.
   Uncertainty Evaluate(const selection::Query& query,
                        const sampling::SampleResult& sample,
                        const selection::ScoringFunction& scorer,
@@ -182,6 +186,31 @@ class AdaptiveSummarySelector {
                        size_t database_index, SummaryEpoch epoch = 0,
                        util::Deadline* deadline = nullptr,
                        const util::TraceContext& trace = {}) const;
+
+  // One distinct query term, resolved in a database's sample: its first
+  // position in the query, its occurrence count m_k, its sample document
+  // frequency s_k and its statistics in the sample summary S(D).
+  struct ResolvedTerm {
+    size_t first = 0;
+    size_t count = 0;
+    size_t sample_df = 0;
+    summary::WordStats stats;
+  };
+
+  // The evaluation over terms the caller has resolved: the gates, the
+  // posterior lookups, the moments and the rule, with Evaluate's counters
+  // and deadline charge. `terms` lists every distinct term of `query` once,
+  // in first-occurrence order; the other arguments are Evaluate's. The
+  // metasearcher resolves the terms from its word rows.
+  Uncertainty EvaluateResolved(const selection::Query& query,
+                               std::span<const ResolvedTerm> terms,
+                               const sampling::SampleResult& sample,
+                               const selection::ScoringFunction& scorer,
+                               const selection::ScoringContext& context,
+                               PosteriorCache* cache, size_t database_index,
+                               SummaryEpoch epoch = 0,
+                               util::Deadline* deadline = nullptr,
+                               const util::TraceContext& trace = {}) const;
 
  private:
   AdaptiveOptions options_;

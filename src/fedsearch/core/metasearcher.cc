@@ -1,10 +1,12 @@
 #include "fedsearch/core/metasearcher.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "fedsearch/util/check.h"
 #include "fedsearch/util/metrics.h"
+#include "fedsearch/util/small_buffer.h"
 #include "fedsearch/util/trace.h"
 
 namespace fedsearch::core {
@@ -40,6 +42,16 @@ const char* ModeName(SummaryMode mode) {
       return "universal_shrinkage";
   }
   return "unknown";
+}
+
+// Whether every word of the sample's sample_df is a word of its summary,
+// as the samplers guarantee: the word rows read s_k only where S(D) holds
+// the word.
+bool SampleWordsInSummary(const sampling::SampleResult& sample) {
+  return std::all_of(sample.sample_df.begin(), sample.sample_df.end(),
+                     [&](const auto& entry) {
+                       return sample.summary.words().contains(entry.first);
+                     });
 }
 
 std::vector<std::shared_ptr<const sampling::SampleResult>> Share(
@@ -79,9 +91,12 @@ Metasearcher::Metasearcher(
         s->health.outcome == sampling::SamplingOutcome::kAborted);
     if (degraded_.back()) ++num_degraded_;
   }
+  std::vector<const sampling::SampleResult*> sample_ptrs;
   std::vector<const summary::ContentSummary*> summary_ptrs;
+  sample_ptrs.reserve(samples_.size());
   summary_ptrs.reserve(samples_.size());
   for (const auto& s : samples_) {
+    sample_ptrs.push_back(s.get());
     summary_ptrs.push_back(&s->summary);
   }
   hierarchy_summaries_ = std::make_unique<HierarchySummaries>(
@@ -93,6 +108,8 @@ Metasearcher::Metasearcher(
   }
   shrinkage_ = std::make_unique<ShrinkageModel>(
       hierarchy_summaries_.get(), std::move(sample_sizes), options_.shrinkage);
+  word_table_ = std::make_unique<WordTable>(std::move(sample_ptrs),
+                                            hierarchy_summaries_.get());
   std::vector<const summary::SummaryView*> plain_views(summary_ptrs.begin(),
                                                        summary_ptrs.end());
   // The hierarchical baseline ranks over the same category aggregates
@@ -137,6 +154,13 @@ Metasearcher::Metasearcher(
     summary_epochs_.assign(samples_.size(), 0);
     plain_statistics_ = selection::ScoringStatisticsCache(plain_views);
     posterior_cache_ = std::make_unique<PosteriorCache>(samples_.size());
+  }
+  // The samples new at this epoch: every one of a fresh snapshot, the
+  // re-probed ones of a derived snapshot.
+  for (size_t i = 0; i < samples_.size(); ++i) {
+    FEDSEARCH_DCHECK(summary_epochs_[i] != epoch_ ||
+                     SampleWordsInSummary(*samples_[i]))
+        << " database " << i << "'s sample_df has a word its summary lacks";
   }
   // The prior snapshot and change list are construction-time inputs only;
   // clearing them keeps options_ free of a pointer into a snapshot that
@@ -191,14 +215,50 @@ Metasearcher::SelectionOutcome Metasearcher::SelectDatabases(
     return outcome;
   }
 
+  // Resolve each query position's word to its row once. A repeated term
+  // resolves to the same row, so the distinct terms, in first-occurrence
+  // order, are the distinct row addresses, each with its first position
+  // and occurrence count.
+  const size_t terms = query.terms.size();
+  std::vector<const WordRow*> rows(terms);
+  std::vector<AdaptiveSummarySelector::ResolvedTerm> distinct;
+  distinct.reserve(terms);
+  for (size_t t = 0; t < terms; ++t) {
+    rows[t] = &word_table_->Row(query.terms[t], select_span.context());
+    const auto same = std::find_if(
+        distinct.begin(), distinct.end(),
+        [&](const AdaptiveSummarySelector::ResolvedTerm& d) {
+          return rows[d.first] == rows[t];
+        });
+    if (same != distinct.end()) {
+      ++same->count;
+    } else {
+      distinct.push_back(AdaptiveSummarySelector::ResolvedTerm{t, 1, 0, {}});
+    }
+  }
+  // stats[i * terms + t] is the statistics of position t's word in
+  // database i's S(D), zeros where S(D) lacks it: database i's slice is
+  // the per-position input of its plain score as it stands.
+  std::vector<summary::WordStats> stats(n * terms);
+  for (size_t t = 0; t < terms; ++t) {
+    rows[t]->ForEachDatabase(
+        [&](size_t i, const WordRow::DatabaseEntry& entry) {
+          stats[i * terms + t] = entry.stats;
+        });
+  }
+
   // Content Summary Selection step (Figure 3): pick A(Di) per database.
+  // `shrunk[i]` marks R(D) and fallback[i] the category a degraded
+  // database is scored from; the statistics come from the rows either way.
   std::vector<const summary::SummaryView*> chosen(n);
+  std::vector<uint8_t> shrunk(n, 0);
   switch (mode) {
     case SummaryMode::kPlain:
       for (size_t i = 0; i < n; ++i) chosen[i] = &samples_[i]->summary;
       break;
     case SummaryMode::kUniversalShrinkage:
       for (size_t i = 0; i < n; ++i) chosen[i] = &shrinkage_->shrunk(i);
+      std::fill(shrunk.begin(), shrunk.end(), 1);
       outcome.shrinkage_applied = n;
       break;
     case SummaryMode::kAdaptiveShrinkage: {
@@ -218,33 +278,43 @@ Metasearcher::SelectionOutcome Metasearcher::SelectDatabases(
       scorer.PrepareContext(query, plain_statistics_, decision_context,
                             adaptive_span.context());
 
-      // The decision is exact and deterministic, so it is the same for any
-      // thread count. Evaluate never reads its Rng parameter; one
-      // placeholder serves every database.
-      util::Rng unused_rng(0);
-
-      std::vector<uint8_t> applied(n, 0);
+      // Database i's distinct terms, resolved from the rows, occupy
+      // resolved[i * d, (i + 1) * d) for d distinct terms.
+      const size_t d = distinct.size();
+      std::vector<AdaptiveSummarySelector::ResolvedTerm> resolved;
+      resolved.reserve(n * d);
+      for (size_t i = 0; i < n; ++i) {
+        resolved.insert(resolved.end(), distinct.begin(), distinct.end());
+      }
+      for (size_t k = 0; k < d; ++k) {
+        rows[distinct[k].first]->ForEachDatabase(
+            [&](size_t i, const WordRow::DatabaseEntry& entry) {
+              resolved[i * d + k].sample_df = entry.sample_df;
+              resolved[i * d + k].stats = entry.stats;
+            });
+      }
       const util::TraceContext adaptive_ctx = adaptive_span.context();
       const auto evaluate_one = [&](size_t i) {
+        chosen[i] = &samples_[i]->summary;
         if (degraded_[i]) {
           // No sample to estimate uncertainty from; the fallback below
           // supplies the summary. (No evaluation, so no deadline charge —
           // cost-model replays must subtract num_degraded().)
-          chosen[i] = &samples_[i]->summary;
           return;
         }
+        const std::span<const AdaptiveSummarySelector::ResolvedTerm> own(
+            resolved.data() + i * d, d);
         const AdaptiveSummarySelector::Uncertainty u =
-            adaptive_.Evaluate(query, *samples_[i], scorer, decision_context,
-                               unused_rng, posterior_cache_.get(), i,
-                               summary_epoch(i), bounded ? deadline : nullptr,
-                               adaptive_ctx);
-        applied[i] = u.use_shrinkage ? 1 : 0;
-        chosen[i] =
-            u.use_shrinkage
-                ? static_cast<const summary::SummaryView*>(
-                      &shrinkage_->shrunk(i))
-                : static_cast<const summary::SummaryView*>(
-                      &samples_[i]->summary);
+            adaptive_.EvaluateResolved(query, own, *samples_[i], scorer,
+                                       decision_context,
+                                       posterior_cache_.get(), i,
+                                       summary_epoch(i),
+                                       bounded ? deadline : nullptr,
+                                       adaptive_ctx);
+        if (u.use_shrinkage) {
+          shrunk[i] = 1;
+          chosen[i] = &shrinkage_->shrunk(i);
+        }
       };
       if (bounded) {
         // Bounded requests evaluate serially on the calling thread: the
@@ -275,7 +345,7 @@ Metasearcher::SelectionOutcome Metasearcher::SelectDatabases(
       } else {
         for (size_t i = 0; i < n; ++i) evaluate_one(i);
       }
-      for (size_t i = 0; i < n; ++i) outcome.shrinkage_applied += applied[i];
+      for (size_t i = 0; i < n; ++i) outcome.shrinkage_applied += shrunk[i];
       if (adaptive_span.recording()) {
         // Counter deltas across this span; under concurrent callers they
         // include the neighbors' traffic (observational, labeled as such).
@@ -300,6 +370,7 @@ Metasearcher::SelectionOutcome Metasearcher::SelectDatabases(
   // the database is alone in its category the aggregate holds only its own
   // empty summary, so walk up toward the root until an ancestor aggregate
   // has actual content (the root aggregate pools every database).
+  std::vector<corpus::CategoryId> fallback(n, corpus::kInvalidCategory);
   for (size_t i = 0; i < n; ++i) {
     if (!degraded_[i]) continue;
     corpus::CategoryId category = classifications_[i];
@@ -308,9 +379,13 @@ Metasearcher::SelectionOutcome Metasearcher::SelectDatabases(
         category != hierarchy_->root()) {
       category = hierarchy_->node(category).parent;
     }
+    fallback[i] = category;
     chosen[i] = &hierarchy_summaries_->aggregate(category);
     ++outcome.category_fallbacks;
-    if (mode == SummaryMode::kUniversalShrinkage) --outcome.shrinkage_applied;
+    if (shrunk[i] != 0) {
+      shrunk[i] = 0;
+      --outcome.shrinkage_applied;
+    }
   }
 
   // Scoring + Ranking steps over the chosen summaries. Bounded requests
@@ -345,8 +420,41 @@ Metasearcher::SelectionOutcome Metasearcher::SelectDatabases(
                               ? ShrunkStatistics()
                               : plain_statistics_,
                           context, scoring_span.context());
-    outcome.ranking =
-        selection::RankDatabases(query, chosen, scorer, context, pool_.get());
+    std::vector<double> scores(n, 0.0);
+    std::vector<double> defaults(n, 0.0);
+    const auto score_one = [&](size_t i) {
+      // Database i's statistics per query position: its S(D) slice,
+      // rewritten in place when it scores from a category aggregate or
+      // from R(D).
+      const std::span<summary::WordStats> own(stats.data() + i * terms,
+                                              terms);
+      if (fallback[i] != corpus::kInvalidCategory) {
+        for (size_t t = 0; t < terms; ++t) {
+          own[t] = rows[t]->category(fallback[i]);
+        }
+      } else if (shrunk[i] != 0) {
+        // R(D)'s mixture kernel over the row's entries for the chain: the
+        // categories on i's path, root first, then S(D).
+        const std::vector<corpus::CategoryId>& path = shrinkage_->path(i);
+        util::SmallBuffer<summary::WordStats, 8> levels(path.size() + 1);
+        const std::span<summary::WordStats> chain = levels.span();
+        for (size_t t = 0; t < terms; ++t) {
+          for (size_t j = 0; j < path.size(); ++j) {
+            chain[j] = rows[t]->category(path[j]);
+          }
+          chain[path.size()] = own[t];
+          own[t] = shrinkage_->shrunk(i).MixtureStats(chain);
+        }
+      }
+      scores[i] = scorer.ScoreFromStats(query, *chosen[i], own, context);
+      defaults[i] = scorer.DefaultScore(query, *chosen[i], context);
+    };
+    if (pool_ != nullptr) {
+      pool_->ParallelFor(n, score_one);
+    } else {
+      for (size_t i = 0; i < n; ++i) score_one(i);
+    }
+    outcome.ranking = selection::RankScores(scores, defaults);
   }
   Metrics().category_fallbacks.Add(outcome.category_fallbacks);
   Metrics().shrinkage_applied.Add(outcome.shrinkage_applied);

@@ -8,6 +8,7 @@
 #include "fedsearch/core/hierarchy_summaries.h"
 #include "fedsearch/core/posterior_cache.h"
 #include "fedsearch/core/shrinkage.h"
+#include "fedsearch/core/word_table.h"
 #include "fedsearch/corpus/topic_hierarchy.h"
 #include "fedsearch/sampling/sample_result.h"
 #include "fedsearch/selection/flat_ranker.h"
@@ -166,12 +167,19 @@ class Metasearcher {
   // summary mode (the full pipeline of Figure 3). The ranking is a total
   // order over the selected databases; callers take prefixes for any k.
   //
+  // Each query word is resolved once per call to its row in the snapshot's
+  // word table (built on the word's first use), and every statistic the
+  // call reads — s_k, S(D), the shrunk mixtures R(D), the category
+  // fallbacks — comes from those rows by index. The rankings are the ones
+  // the public string path computes: Evaluate, the scorer's Score and
+  // RankDatabases over the chosen summaries.
+  //
   // Thread-safe: concurrent calls on one Metasearcher are supported. The
-  // posterior cache shards its locks per database, the scoring statistics
-  // are immutable once built (the shrunk set's under a mutex, by the
-  // first universal call), and the shared thread pool serializes
-  // concurrent ParallelFor loops internally; each call's result stays
-  // bit-identical to a serial run (pinned by
+  // posterior cache shards its locks per database, the word table its rows
+  // by word, the scoring statistics are immutable once built (the shrunk
+  // set's under a mutex, by the first universal call), and the shared
+  // thread pool serializes concurrent ParallelFor loops internally; each
+  // call's result stays bit-identical to a serial run (pinned by
   // tests/stress/parallel_select_stress_test.cc).
   //
   // A non-null, non-infinite `deadline` bounds the call: the adaptive
@@ -187,6 +195,7 @@ class Metasearcher {
   // untouched by all of this, including their parallel fan-out.
   //
   // `trace` (optional) parents this call's spans — select_databases,
+  // word_row_build (a word's first use on this snapshot),
   // adaptive_evaluation, statistics_cache_fill (for a scorer whose
   // PrepareContext fills the corpus statistics, as CORI's does),
   // posterior_grid_build, scoring — under the caller's request trace.
@@ -240,6 +249,8 @@ class Metasearcher {
   // Derived from the prior's cache when built with options.prior (see
   // there). Never null.
   std::unique_ptr<PosteriorCache> posterior_cache_;
+  // This snapshot's word rows; empty at construction. Never null.
+  std::unique_ptr<WordTable> word_table_;
   size_t num_threads_ = 1;
   std::unique_ptr<util::ThreadPool> pool_;  // null when serving serially
 };

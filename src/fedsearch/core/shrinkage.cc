@@ -7,6 +7,7 @@
 
 #include "fedsearch/util/check.h"
 #include "fedsearch/util/metrics.h"
+#include "fedsearch/util/small_buffer.h"
 #include "fedsearch/util/trace.h"
 
 namespace fedsearch::core {
@@ -53,8 +54,8 @@ double LevelTokens(const SummaryChain& chain, size_t i) {
                               : tokens;
 }
 
-// The per-word kernel: calls fn(i, stats) for every chain level i in
-// order with the word's statistics at that level, probing each chain
+// The EM fit's per-word walk: calls fn(i, stats) for every chain level i
+// in order with the word's statistics at that level, probing each chain
 // summary once.
 template <typename Fn>
 void ForEachLevel(const SummaryChain& chain, const std::string& word,
@@ -96,6 +97,12 @@ ShrunkSummary::ShrunkSummary(SummaryChain chain, std::vector<double> lambdas,
     : chain_(std::move(chain)),
       lambdas_(std::move(lambdas)),
       uniform_probability_(uniform_probability) {
+  level_documents_.reserve(chain_.size());
+  level_tokens_.reserve(chain_.size());
+  for (size_t i = 0; i < chain_.size(); ++i) {
+    level_documents_.push_back(LevelDocuments(chain_, i));
+    level_tokens_.push_back(LevelTokens(chain_, i));
+  }
   // Definition 4 mixture shape: one λ for C0 plus one per chain level, all
   // on the probability simplex. A violation here poisons every score this
   // summary ever produces, so it is checked in all builds.
@@ -122,32 +129,53 @@ double ShrunkSummary::total_tokens() const {
   return chain_.back()->total_tokens();
 }
 
+template <typename Fn>
+auto ShrunkSummary::WithLevels(const std::string& word, Fn&& fn) const {
+  util::SmallBuffer<summary::WordStats, 8> buffer(chain_.size());
+  const std::span<summary::WordStats> levels = buffer.span();
+  for (size_t i = 0; i < chain_.size(); ++i) {
+    levels[i] = Probe(*chain_[i], word);
+  }
+  return fn(std::span<const summary::WordStats>(levels));
+}
+
+ShrunkSummary::Mixture ShrunkSummary::MixtureProbabilities(
+    std::span<const summary::WordStats> levels) const {
+  FEDSEARCH_DCHECK(levels.size() == chain_.size())
+      << " " << levels.size() << " levels for a chain of " << chain_.size();
+  double doc = lambdas_[0] * uniform_probability_;
+  double token = doc;
+  const size_t last = chain_.size() - 1;
+  for (size_t i = 0; i <= last; ++i) {
+    const summary::WordStats stats =
+        i < last ? Exclusive(levels[i], levels[i + 1]) : levels[i];
+    doc += lambdas_[i + 1] * Probability(stats.df, level_documents_[i]);
+    token += lambdas_[i + 1] * Probability(stats.ctf, level_tokens_[i]);
+  }
+  FEDSEARCH_DCHECK(doc >= 0.0 && std::isfinite(doc))
+      << " mixture doc probability " << doc;
+  FEDSEARCH_DCHECK(token >= 0.0 && std::isfinite(token))
+      << " mixture token probability " << token;
+  return Mixture{std::min(1.0, doc), std::min(1.0, token)};
+}
+
+summary::WordStats ShrunkSummary::MixtureStats(
+    std::span<const summary::WordStats> levels) const {
+  const Mixture p = MixtureProbabilities(levels);
+  return summary::WordStats{p.doc * num_documents(),
+                            p.token * total_tokens()};
+}
+
 double ShrunkSummary::MixtureProbDoc(const std::string& word) const {
-  double p = lambdas_[0] * uniform_probability_;
-  ForEachLevel(chain_, word, [&](size_t i, const summary::WordStats& stats) {
-    p += lambdas_[i + 1] * Probability(stats.df, LevelDocuments(chain_, i));
+  return WithLevels(word, [&](std::span<const summary::WordStats> levels) {
+    return MixtureProbabilities(levels).doc;
   });
-  FEDSEARCH_DCHECK(p >= 0.0 && std::isfinite(p))
-      << " mixture doc probability " << p << " for " << word;
-  return std::min(1.0, p);
 }
 
-double ShrunkSummary::MixtureProbToken(const std::string& word) const {
-  double p = lambdas_[0] * uniform_probability_;
-  ForEachLevel(chain_, word, [&](size_t i, const summary::WordStats& stats) {
-    p += lambdas_[i + 1] * Probability(stats.ctf, LevelTokens(chain_, i));
+summary::WordStats ShrunkSummary::Stats(const std::string& word) const {
+  return WithLevels(word, [&](std::span<const summary::WordStats> levels) {
+    return MixtureStats(levels);
   });
-  FEDSEARCH_DCHECK(p >= 0.0 && std::isfinite(p))
-      << " mixture token probability " << p << " for " << word;
-  return std::min(1.0, p);
-}
-
-double ShrunkSummary::DocFrequency(const std::string& word) const {
-  return MixtureProbDoc(word) * num_documents();
-}
-
-double ShrunkSummary::TokenFrequency(const std::string& word) const {
-  return MixtureProbToken(word) * total_tokens();
 }
 
 void ShrunkSummary::ForEachWord(

@@ -2,6 +2,7 @@
 #define FEDSEARCH_CORE_SHRINKAGE_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,21 +34,21 @@ using SummaryChain = std::vector<const summary::ContentSummary*>;
 // path (root first), each taken exclusive of the next level's data, and D
 // the database's own sample summary: the levels of its chain.
 //
-// DocFrequency/TokenFrequency report p̂_R scaled by the database's
-// estimated size, so selection algorithms consume shrunk and unshrunk
+// Stats reports p̂_R scaled by the database's estimated size (df) and
+// word count (ctf), so selection algorithms consume shrunk and unshrunk
 // summaries through the same interface.
 class ShrunkSummary : public summary::SummaryView {
  public:
   // lambdas[0] is the uniform category's weight and lambdas[i + 1] chain
   // level i's, so lambdas.back() is the database's own. Every summary of
-  // the chain must outlive this object.
+  // the chain must outlive this object and stay unchanged while it lives.
   ShrunkSummary(SummaryChain chain, std::vector<double> lambdas,
                 double uniform_probability);
 
   double num_documents() const override;
   double total_tokens() const override;
-  double DocFrequency(const std::string& word) const override;
-  double TokenFrequency(const std::string& word) const override;
+  // One probe per chain summary, then MixtureStats.
+  summary::WordStats Stats(const std::string& word) const override;
   void ForEachWord(
       const std::function<void(const std::string&,
                                const summary::WordStats&)>& fn) const override;
@@ -59,12 +60,33 @@ class ShrunkSummary : public summary::SummaryView {
   // p̂_R(w|D) itself (document-probability mixture).
   double MixtureProbDoc(const std::string& word) const;
 
+  // The mixture kernel: a word's statistics in R(D) from its statistics in
+  // each chain summary, levels[i] in chain summary i (root first, S(D)
+  // last; zeros where the summary lacks the word). The document and token
+  // mixtures are taken in one pass. Stats probes the chain and calls this;
+  // the metasearcher's word rows call it with the statistics they hold, so
+  // both paths produce the same doubles.
+  summary::WordStats MixtureStats(
+      std::span<const summary::WordStats> levels) const;
+
  private:
-  double MixtureProbToken(const std::string& word) const;
+  // The document and token mixtures p̂_R(w|D), each clamped to 1.
+  struct Mixture {
+    double doc = 0.0;
+    double token = 0.0;
+  };
+  Mixture MixtureProbabilities(
+      std::span<const summary::WordStats> levels) const;
+  // Calls fn(levels) with the word's statistics in each chain summary.
+  template <typename Fn>
+  auto WithLevels(const std::string& word, Fn&& fn) const;
 
   SummaryChain chain_;           // C1..Cm, then D
   std::vector<double> lambdas_;  // C0, C1..Cm, D
   double uniform_probability_;
+  // Each chain level's |C| and cw, exclusive of the next level's.
+  std::vector<double> level_documents_;
+  std::vector<double> level_tokens_;
 };
 
 // Fits the category mixture weights λ0..λ_{m+1} for one database with the

@@ -56,7 +56,10 @@ struct SampleResult {
   double estimated_db_size = 0.0;
 
   // Raw per-word sample document frequencies s_k (Appendix B needs these
-  // alongside |S|).
+  // alongside |S|). Its words are words of `summary`: the samplers build
+  // both from one word map, and the metasearcher's word rows read s_k
+  // only where the summary holds the word (a snapshot DCHECKs this for
+  // every sample it is built over).
   std::unordered_map<std::string, size_t> sample_df;
 
   // Mandelbrot rank-frequency fit extrapolated to the database

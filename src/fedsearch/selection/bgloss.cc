@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "fedsearch/util/check.h"
+
 namespace fedsearch::selection {
 namespace {
 
@@ -14,15 +16,18 @@ double ProbDocFromDf(double df_raw, double num_docs) {
 
 }  // namespace
 
-double BglossScorer::Score(const Query& query, const summary::SummaryView& db,
-                           const ScoringContext&) const {
-  // The per-term fold (seed |D|, identity finalization) over the summary's
-  // own dfs, plus the early return (see bgloss.h: the shortcut is
+double BglossScorer::ScoreFromStats(
+    const Query& query, const summary::SummaryView& db,
+    std::span<const summary::WordStats> term_stats,
+    const ScoringContext&) const {
+  // The per-term fold (seed |D|, identity finalization) over the
+  // positions' dfs, plus the early return (see bgloss.h: the shortcut is
   // bit-equivalent to folding through).
+  FEDSEARCH_DCHECK(term_stats.size() == query.terms.size());
   const double num_docs = db.num_documents();
   double score = num_docs;
-  for (const std::string& w : query.terms) {
-    score *= ProbDocFromDf(db.DocFrequency(w), num_docs);
+  for (const summary::WordStats& stats : term_stats) {
+    score *= ProbDocFromDf(stats.df, num_docs);
     if (score == 0.0) return 0.0;
   }
   return score;
@@ -40,6 +45,7 @@ double BglossScorer::CombineInit(const Query&, const summary::SummaryView& db,
 
 void BglossScorer::TermContributionTable(const Query&, size_t,
                                          const summary::SummaryView& db,
+                                         const summary::WordStats&,
                                          const ScoringContext&,
                                          const double* dfs, size_t count,
                                          double* out) const {

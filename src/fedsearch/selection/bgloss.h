@@ -12,12 +12,13 @@ namespace fedsearch::selection {
 class BglossScorer : public ScoringFunction {
  public:
   std::string_view name() const override { return "bGlOSS"; }
-  double Score(const Query& query, const summary::SummaryView& db,
-               const ScoringContext& context) const override;
+  double ScoreFromStats(const Query& query, const summary::SummaryView& db,
+                        std::span<const summary::WordStats> term_stats,
+                        const ScoringContext& context) const override;
   double DefaultScore(const Query& query, const summary::SummaryView& db,
                       const ScoringContext& context) const override;
 
-  // Per-term form: score = |D| · Π per-term p̂(w|D). (Score's early
+  // Per-term form: score = |D| · Π per-term p̂(w|D). (ScoreFromStats' early
   // return on a zero product is a shortcut, not a semantic difference:
   // every later factor is in [0, 1], so the full fold reproduces the same
   // 0.0 bit-for-bit.)
@@ -26,6 +27,7 @@ class BglossScorer : public ScoringFunction {
                      const ScoringContext& context) const override;
   void TermContributionTable(const Query& query, size_t term_index,
                              const summary::SummaryView& db,
+                             const summary::WordStats& term_stats,
                              const ScoringContext& context, const double* dfs,
                              size_t count, double* out) const override;
 };

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "fedsearch/util/check.h"
+
 namespace fedsearch::selection {
 namespace {
 
@@ -52,16 +54,19 @@ void CoriScorer::PrepareContext(const Query& query,
   statistics.FillCorpusStatistics(query, context, trace);
 }
 
-double CoriScorer::Score(const Query& query, const summary::SummaryView& db,
-                         const ScoringContext& context) const {
-  // The per-term fold (seed 0, divided by |q|) over the summary's own dfs.
+double CoriScorer::ScoreFromStats(
+    const Query& query, const summary::SummaryView& db,
+    std::span<const summary::WordStats> term_stats,
+    const ScoringContext& context) const {
+  // The per-term fold (seed 0, divided by |q|) over the positions' dfs.
   if (query.terms.empty()) return kBeliefFloor;
   CheckPreparedFor(name(), query, context.term_cf.size());
+  FEDSEARCH_DCHECK(term_stats.size() == query.terms.size());
   const double num_docs = db.num_documents();
   const double cw_term = CollectionWordsTerm(db, context);
   double combined = 0.0;
   for (size_t i = 0; i < query.terms.size(); ++i) {
-    combined += Belief(db.DocFrequency(query.terms[i]), num_docs, cw_term,
+    combined += Belief(term_stats[i].df, num_docs, cw_term,
                        [&] { return InverseFrequency(i, context); });
   }
   return combined / static_cast<double>(query.terms.size());
@@ -79,6 +84,7 @@ double CoriScorer::CombineInit(const Query&, const summary::SummaryView&,
 
 void CoriScorer::TermContributionTable(const Query& query, size_t term_index,
                                        const summary::SummaryView& db,
+                                       const summary::WordStats&,
                                        const ScoringContext& context,
                                        const double* dfs, size_t count,
                                        double* out) const {

@@ -25,8 +25,9 @@ class CoriScorer : public ScoringFunction {
                       const ScoringStatisticsCache& statistics,
                       ScoringContext& context,
                       const util::TraceContext& trace = {}) const override;
-  double Score(const Query& query, const summary::SummaryView& db,
-               const ScoringContext& context) const override;
+  double ScoreFromStats(const Query& query, const summary::SummaryView& db,
+                        std::span<const summary::WordStats> term_stats,
+                        const ScoringContext& context) const override;
   double DefaultScore(const Query& query, const summary::SummaryView& db,
                       const ScoringContext& context) const override;
 
@@ -36,6 +37,7 @@ class CoriScorer : public ScoringFunction {
                      const ScoringContext& context) const override;
   void TermContributionTable(const Query& query, size_t term_index,
                              const summary::SummaryView& db,
+                             const summary::WordStats& term_stats,
                              const ScoringContext& context, const double* dfs,
                              size_t count, double* out) const override;
   double FinalizeScore(const Query& query, double combined) const override;

@@ -22,13 +22,18 @@ std::vector<RankedDatabase> RankDatabases(
   } else {
     for (size_t i = 0; i < n; ++i) score_one(i);
   }
+  return RankScores(scores, fallbacks);
+}
 
+std::vector<RankedDatabase> RankScores(const std::vector<double>& scores,
+                                       const std::vector<double>& defaults) {
+  const size_t n = scores.size();
   std::vector<RankedDatabase> ranking;
   ranking.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     // "Default" scores mean the summary contributed no query-specific
     // evidence; such databases are not selected.
-    if (scores[i] <= fallbacks[i] * (1.0 + 1e-12) ||
+    if (scores[i] <= defaults[i] * (1.0 + 1e-12) ||
         !std::isfinite(scores[i])) {
       continue;
     }

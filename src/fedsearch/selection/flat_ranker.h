@@ -31,6 +31,13 @@ std::vector<RankedDatabase> RankDatabases(
     const ScoringFunction& scorer, const ScoringContext& context,
     util::ThreadPool* pool = nullptr);
 
+// The ranking step alone: databases 0..n−1 with scores[i] and default
+// scores defaults[i], filtered and ordered as RankDatabases does (a score
+// at or below its default, or not finite, drops the database; the rest go
+// by decreasing score, ties by ascending index).
+std::vector<RankedDatabase> RankScores(const std::vector<double>& scores,
+                                       const std::vector<double>& defaults);
+
 }  // namespace fedsearch::selection
 
 #endif  // FEDSEARCH_SELECTION_FLAT_RANKER_H_

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "fedsearch/util/check.h"
+
 namespace fedsearch::selection {
 namespace {
 
@@ -34,15 +36,18 @@ void LmScorer::PrepareContext(const Query& query,
   FillGlobalProbabilities(query, context);
 }
 
-double LmScorer::Score(const Query& query, const summary::SummaryView& db,
-                       const ScoringContext& context) const {
-  // The per-term fold (seed 1, identity finalization) over the summary's
-  // own token frequencies.
+double LmScorer::ScoreFromStats(const Query& query,
+                                const summary::SummaryView& db,
+                                std::span<const summary::WordStats> term_stats,
+                                const ScoringContext& context) const {
+  // The per-term fold (seed 1, identity finalization) over the positions'
+  // token frequencies.
   CheckPreparedFor(name(), query, context.term_global_prob.size());
+  FEDSEARCH_DCHECK(term_stats.size() == query.terms.size());
   const double total = db.total_tokens();
   double score = 1.0;
   for (size_t i = 0; i < query.terms.size(); ++i) {
-    score *= Factor(db.TokenFrequency(query.terms[i]), total, lambda_,
+    score *= Factor(term_stats[i].ctf, total, lambda_,
                     Smoothing(i, lambda_, context));
   }
   return score;
@@ -67,14 +72,14 @@ double LmScorer::CombineInit(const Query&, const summary::SummaryView&,
 
 void LmScorer::TermContributionTable(const Query& query, size_t term_index,
                                      const summary::SummaryView& db,
+                                     const summary::WordStats& term_stats,
                                      const ScoringContext& context,
                                      const double* dfs, size_t count,
                                      double* out) const {
   CheckPreparedFor(name(), query, context.term_global_prob.size());
-  const std::string& w = query.terms[term_index];
   const double total = db.total_tokens();
-  const double base_df = db.DocFrequency(w);
-  const double base_tf = db.TokenFrequency(w);
+  const double base_df = term_stats.df;
+  const double base_tf = term_stats.ctf;
   const double smoothing = Smoothing(term_index, lambda_, context);
   for (size_t g = 0; g < count; ++g) {
     // Token frequency at the grid df: a word seen in the sample keeps its

@@ -2,8 +2,20 @@
 
 #include "fedsearch/util/check.h"
 #include "fedsearch/util/metrics.h"
+#include "fedsearch/util/small_buffer.h"
 
 namespace fedsearch::selection {
+
+double ScoringFunction::Score(const Query& query,
+                              const summary::SummaryView& db,
+                              const ScoringContext& context) const {
+  util::SmallBuffer<summary::WordStats, 16> buffer(query.terms.size());
+  const std::span<summary::WordStats> stats = buffer.span();
+  for (size_t i = 0; i < stats.size(); ++i) {
+    stats[i] = db.Stats(query.terms[i]);
+  }
+  return ScoreFromStats(query, db, stats, context);
+}
 
 double ScoringFunction::FinalizeScore(const Query&, double combined) const {
   return combined;

@@ -2,6 +2,7 @@
 #define FEDSEARCH_SELECTION_SCORING_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -157,10 +158,22 @@ class ScoringFunction {
                               ScoringContext&,
                               const util::TraceContext& = {}) const {}
 
-  // Score of database `db` for `query`. Higher is better.
-  [[nodiscard]] virtual double Score(const Query& query,
-                                     const summary::SummaryView& db,
-                                     const ScoringContext& context) const = 0;
+  // Score of database `db` for `query`. Higher is better. Looks up each
+  // position's term in `db` (db.Stats) and scores the statistics with
+  // ScoreFromStats.
+  [[nodiscard]] double Score(const Query& query,
+                             const summary::SummaryView& db,
+                             const ScoringContext& context) const;
+
+  // The scoring kernel: Score of `db` for `query` when the term at query
+  // position i has statistics term_stats[i] in `db` (one entry per
+  // position; a repeated term repeats its entry). `db` supplies only |D|
+  // and cw. The metasearcher calls it with statistics it has already
+  // resolved, so both paths score through the same arithmetic.
+  [[nodiscard]] virtual double ScoreFromStats(
+      const Query& query, const summary::SummaryView& db,
+      std::span<const summary::WordStats> term_stats,
+      const ScoringContext& context) const = 0;
 
   // The "default" score: what `db` would score if it contained none of the
   // query words. A database whose score equals this value is considered not
@@ -204,8 +217,11 @@ class ScoringFunction {
       const ScoringContext& context) const = 0;
   // Fills out[g] with the contribution of query.terms[term_index] if its
   // document frequency in `db` were dfs[g], for g in [0, count).
+  // `term_stats` is the term's statistics in `db` (db.Stats of the term),
+  // which a scorer reading token frequencies scales (LM).
   virtual void TermContributionTable(const Query& query, size_t term_index,
                                      const summary::SummaryView& db,
+                                     const summary::WordStats& term_stats,
                                      const ScoringContext& context,
                                      const double* dfs, size_t count,
                                      double* out) const = 0;

@@ -21,14 +21,9 @@ bool SummaryView::ContainsRounded(const std::string& word) const {
   return std::lround(num_documents() * ProbDoc(word)) >= 1;
 }
 
-double ContentSummary::DocFrequency(const std::string& word) const {
+WordStats ContentSummary::Stats(const std::string& word) const {
   auto it = words_.find(word);
-  return it == words_.end() ? 0.0 : it->second.df;
-}
-
-double ContentSummary::TokenFrequency(const std::string& word) const {
-  auto it = words_.find(word);
-  return it == words_.end() ? 0.0 : it->second.ctf;
+  return it == words_.end() ? WordStats{} : it->second;
 }
 
 void ContentSummary::ForEachWord(

@@ -35,11 +35,19 @@ class SummaryView {
   // Estimated total term occurrences in D.
   virtual double total_tokens() const = 0;
 
+  // The word's estimated document and collection term frequencies (zeros
+  // if absent): the one per-word lookup every view implements.
+  virtual WordStats Stats(const std::string& word) const = 0;
+
   // Estimated document frequency of `word` (0 if absent).
-  virtual double DocFrequency(const std::string& word) const = 0;
+  double DocFrequency(const std::string& word) const {
+    return Stats(word).df;
+  }
 
   // Estimated collection term frequency of `word` (0 if absent).
-  virtual double TokenFrequency(const std::string& word) const = 0;
+  double TokenFrequency(const std::string& word) const {
+    return Stats(word).ctf;
+  }
 
   // Calls fn(word, stats) for every word with a non-zero estimate.
   virtual void ForEachWord(
@@ -68,8 +76,7 @@ class ContentSummary : public SummaryView {
 
   double num_documents() const override { return num_documents_; }
   double total_tokens() const override { return total_tokens_; }
-  double DocFrequency(const std::string& word) const override;
-  double TokenFrequency(const std::string& word) const override;
+  WordStats Stats(const std::string& word) const override;
   void ForEachWord(
       const std::function<void(const std::string&, const WordStats&)>& fn)
       const override;

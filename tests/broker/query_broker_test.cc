@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -19,16 +20,19 @@ namespace {
 
 using fedsearch::testing::SharedSmallTestbed;
 
-// CORI whose Score holds each thread's first call until `threads` threads
-// are inside Score at once. A 20 s timeout releases a gathering that never
-// completes, so a broker running fewer workers fails the test instead of
-// hanging it.
+// CORI whose scoring kernel (ScoreFromStats, which every Score and the
+// metasearcher's scoring call) holds each thread's first call until
+// `threads` threads are inside it at once. A 20 s timeout releases a
+// gathering that never completes, so a broker running fewer workers fails
+// the test instead of hanging it.
 class RendezvousCori : public selection::CoriScorer {
  public:
   explicit RendezvousCori(size_t threads) : threads_(threads) {}
 
-  double Score(const selection::Query& query, const summary::SummaryView& db,
-               const selection::ScoringContext& context) const override {
+  double ScoreFromStats(
+      const selection::Query& query, const summary::SummaryView& db,
+      std::span<const summary::WordStats> term_stats,
+      const selection::ScoringContext& context) const override {
     {
       std::unique_lock<std::mutex> lock(mu_);
       if (seen_.insert(std::this_thread::get_id()).second) {
@@ -40,7 +44,7 @@ class RendezvousCori : public selection::CoriScorer {
         }
       }
     }
-    return CoriScorer::Score(query, db, context);
+    return CoriScorer::ScoreFromStats(query, db, term_stats, context);
   }
 
   // True when all `threads` threads met before any waiter timed out.

@@ -115,8 +115,10 @@ TEST_F(TracePropagationTest, OneQueryYieldsAConnectedSpanTree) {
   // One fill for the adaptive decision context, one for the scoring
   // context.
   EXPECT_EQ(count_by_name["statistics_cache_fill"], 2u);
-  // A cold posterior cache records at least one grid build under the trace.
+  // A cold posterior cache records at least one grid build under the trace,
+  // and a cold word table at least one row build.
   EXPECT_GE(count_by_name["posterior_grid_build"], 1u);
+  EXPECT_GE(count_by_name["word_row_build"], 1u);
 
   // Every parent link resolves inside the tree; only the root is parented
   // on the trace itself (parent_id 0).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -612,7 +613,8 @@ double LinearSecondMomentProduct(const selection::Query& query,
     const DocFrequencyPosterior post(sk, s.sample_size, s.estimated_db_size,
                                      gamma, AdaptiveOptions().grid_points);
     std::vector<double> row(post.size());
-    scorer.TermContributionTable(query, t, s.summary, ctx,
+    scorer.TermContributionTable(query, t, s.summary,
+                                 s.summary.Stats(query.terms[t]), ctx,
                                  post.support().data(), post.size(),
                                  row.data());
     double total = 0.0;
@@ -696,8 +698,9 @@ TEST(AdaptiveSelectorTest, ExpiredDeadlineSkipIsCountedAsDisposition) {
 class FloorHuggingScorer : public selection::ScoringFunction {
  public:
   std::string_view name() const override { return "floor-hugging"; }
-  double Score(const selection::Query&, const summary::SummaryView&,
-               const selection::ScoringContext&) const override {
+  double ScoreFromStats(const selection::Query&, const summary::SummaryView&,
+                        std::span<const summary::WordStats>,
+                        const selection::ScoringContext&) const override {
     return 0.25;
   }
   double DefaultScore(const selection::Query&, const summary::SummaryView&,
@@ -713,6 +716,7 @@ class FloorHuggingScorer : public selection::ScoringFunction {
   }
   void TermContributionTable(const selection::Query&, size_t,
                              const summary::SummaryView&,
+                             const summary::WordStats&,
                              const selection::ScoringContext&, const double*,
                              size_t count, double* out) const override {
     std::fill(out, out + count, 0.0);

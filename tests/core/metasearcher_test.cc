@@ -1,10 +1,14 @@
 #include "fedsearch/core/metasearcher.h"
 
+#include <bit>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "fedsearch/sampling/qbs_sampler.h"
 #include "fedsearch/selection/bgloss.h"
 #include "fedsearch/selection/cori.h"
+#include "fedsearch/selection/lm.h"
 #include "testing/small_testbed.h"
 
 namespace fedsearch::core {
@@ -271,6 +275,131 @@ TEST(MetasearcherDeathTest, InvalidCategoryAborts) {
                             {hierarchy.root(), corpus::kInvalidCategory}),
                "database 1 is classified as category -1, not a node of the "
                "1-node hierarchy");
+}
+
+// SelectDatabases as the public string path computes it: the adaptive
+// decision through AdaptiveSummarySelector::Evaluate, the category
+// fallback for degraded databases, then the scorer's PrepareContext and
+// RankDatabases over the chosen summaries.
+std::vector<selection::RankedDatabase> ReplaySelection(
+    const Metasearcher& meta, const selection::Query& query,
+    const selection::ScoringFunction& scorer, SummaryMode mode) {
+  const size_t n = meta.num_databases();
+  std::vector<const summary::SummaryView*> plain(n);
+  std::vector<const summary::SummaryView*> shrunk(n);
+  for (size_t i = 0; i < n; ++i) {
+    plain[i] = &meta.plain_summary(i);
+    shrunk[i] = &meta.shrunk_summary(i);
+  }
+  std::vector<const summary::SummaryView*> chosen =
+      mode == SummaryMode::kUniversalShrinkage ? shrunk : plain;
+  if (mode == SummaryMode::kAdaptiveShrinkage) {
+    selection::ScoringContext decision;
+    decision.ranked_summaries = plain;
+    decision.global_summary = &meta.global_summary();
+    scorer.PrepareContext(query, meta.plain_statistics(), decision);
+    const AdaptiveSummarySelector selector(MetasearcherOptions().adaptive);
+    util::Rng unused(0);
+    for (size_t i = 0; i < n; ++i) {
+      if (meta.degraded(i)) continue;
+      if (selector.Evaluate(query, meta.sample(i), scorer, decision, unused)
+              .use_shrinkage) {
+        chosen[i] = shrunk[i];
+      }
+    }
+  }
+  const HierarchySummaries& summaries = meta.hierarchy_summaries();
+  const corpus::TopicHierarchy& hierarchy = summaries.hierarchy();
+  for (size_t i = 0; i < n; ++i) {
+    if (!meta.degraded(i)) continue;
+    corpus::CategoryId category = meta.classification(i);
+    while (summaries.aggregate(category).vocabulary_size() == 0 &&
+           category != hierarchy.root()) {
+      category = hierarchy.node(category).parent;
+    }
+    chosen[i] = &summaries.aggregate(category);
+  }
+  selection::ScoringContext context;
+  context.ranked_summaries = chosen;
+  context.global_summary = &meta.global_summary();
+  const selection::ScoringStatisticsCache shrunk_statistics(shrunk);
+  scorer.PrepareContext(query,
+                        mode == SummaryMode::kUniversalShrinkage
+                            ? shrunk_statistics
+                            : meta.plain_statistics(),
+                        context);
+  return selection::RankDatabases(query, chosen, scorer, context);
+}
+
+TEST(MetasearcherRowsTest, SelectionEqualsThePublicStringPath) {
+  // SelectDatabases reads every statistic from its word rows. Over a
+  // federation with degraded databases (an empty sample and an aborted
+  // one, scored from category aggregates) and queries with repeated and
+  // unseen terms, its rankings equal the public path's in every database,
+  // position and score bit, for every mode and scorer.
+  const corpus::Testbed& bed = SharedSmallTestbed();
+  sampling::QbsOptions options;
+  options.target_documents = 80;
+  sampling::QbsSampler sampler(
+      options, corpus::BuildSamplerDictionary(bed.model(), 10));
+  std::vector<sampling::SampleResult> samples;
+  std::vector<corpus::CategoryId> classifications;
+  util::Rng rng(91);
+  for (size_t i = 0; i < bed.num_databases(); ++i) {
+    util::Rng db_rng = rng.Fork();
+    samples.push_back(sampler.Sample(bed.database(i), db_rng));
+    classifications.push_back(bed.category_of(i));
+  }
+  samples[1] = sampling::SampleResult{};
+  samples[4] = sampling::SampleResult{};
+  samples[4].health.outcome = sampling::SamplingOutcome::kAborted;
+  MetasearcherOptions pooled;
+  pooled.num_threads = 2;
+  const Metasearcher meta(&bed.hierarchy(), std::move(samples),
+                          std::move(classifications), pooled);
+  ASSERT_EQ(meta.num_degraded(), 2u);
+
+  std::vector<selection::Query> queries;
+  for (const corpus::TestQuery& tq : bed.queries()) {
+    selection::Query q{bed.analyzer().Analyze(tq.text)};
+    if (q.terms.empty()) continue;
+    queries.push_back(q);
+    // The first term again, and a word no summary holds, between them.
+    q.terms.insert(q.terms.begin() + 1, "zzunseenword");
+    q.terms.push_back(q.terms.front());
+    queries.push_back(q);
+  }
+  const selection::CoriScorer cori;
+  const selection::BglossScorer bgloss;
+  const selection::LmScorer lm;
+  size_t ranked = 0;
+  size_t shrunk = 0;
+  for (const selection::ScoringFunction* scorer :
+       std::vector<const selection::ScoringFunction*>{&cori, &bgloss, &lm}) {
+    for (SummaryMode mode :
+         {SummaryMode::kPlain, SummaryMode::kAdaptiveShrinkage,
+          SummaryMode::kUniversalShrinkage}) {
+      for (const selection::Query& q : queries) {
+        const auto outcome = meta.SelectDatabases(q, *scorer, mode);
+        const auto want = ReplaySelection(meta, q, *scorer, mode);
+        ASSERT_EQ(outcome.ranking.size(), want.size()) << scorer->name();
+        for (size_t r = 0; r < want.size(); ++r) {
+          EXPECT_EQ(outcome.ranking[r].database, want[r].database)
+              << scorer->name() << " rank " << r;
+          EXPECT_EQ(std::bit_cast<uint64_t>(outcome.ranking[r].score),
+                    std::bit_cast<uint64_t>(want[r].score))
+              << scorer->name() << " rank " << r;
+        }
+        ranked += want.size();
+        if (mode == SummaryMode::kAdaptiveShrinkage) {
+          shrunk += outcome.shrinkage_applied;
+        }
+      }
+    }
+  }
+  EXPECT_GT(ranked, 0u);
+  // The adaptive rule chose R(D) somewhere, so the rows' mixture path ran.
+  EXPECT_GT(shrunk, 0u);
 }
 
 TEST_F(MetasearcherTest, HierarchicalSelectionReturnsAtMostK) {

@@ -140,6 +140,60 @@ TEST(ShrunkSummaryChainTest, MatchesExplicitlySubtractedLevelsBitwise) {
   }
 }
 
+TEST(ShrunkSummaryStatsTest, ReproducesRecordedFrequenciesBitwise) {
+  // Stats computes the document and token mixtures in one pass over one
+  // probe per chain summary. Its df and ctf are the DocFrequency and
+  // TokenFrequency doubles the separate per-statistic mixtures produced,
+  // recorded here as hex literals, over a three-level chain (with a
+  // token probability clamped at 1) and a two-level one.
+  struct Expected {
+    const char* word;
+    double df;
+    double ctf;
+  };
+  {
+    const summary::ContentSummary root =
+        MakeDb(1000, {{"root-only", 50, 80}, {"child-all", 30, 45}});
+    const summary::ContentSummary child =
+        MakeDb(400, {{"child-all", 30, 45}});
+    const summary::ContentSummary db =
+        MakeDb(100, {{"db-only", 7, 11}, {"child-all", 12, 20}});
+    const ShrunkSummary shrunk({&root, &child, &db}, {0.05, 0.15, 0.3, 0.5},
+                               0.25);
+    for (const Expected& e : {Expected{"db-only", 0x1.3p+2,
+                                       0x1.78ccccccccccep+2},
+                              Expected{"root-only", 0x1.4p+1,
+                                       0x1.4266666666667p+2},
+                              Expected{"child-all", 0x1.2199999999999p+3,
+                                       0x1.3afffffffffffp+4},
+                              Expected{"nowhere", 0x1.4p+0,
+                                       0x1.8cccccccccccdp-2}}) {
+      const summary::WordStats stats = shrunk.Stats(e.word);
+      EXPECT_EQ(stats.df, e.df) << e.word;
+      EXPECT_EQ(stats.ctf, e.ctf) << e.word;
+      EXPECT_EQ(shrunk.DocFrequency(e.word), e.df) << e.word;
+      EXPECT_EQ(shrunk.TokenFrequency(e.word), e.ctf) << e.word;
+    }
+  }
+  {
+    const summary::ContentSummary category =
+        MakeDb(1000, {{"shared", 400, 600}, {"cat-only", 100, 150}});
+    const summary::ContentSummary db =
+        MakeDb(100, {{"shared", 30, 60}, {"db-only", 10, 20}});
+    const ShrunkSummary shrunk({&category, &db}, {0.1, 0.4, 0.5}, 0.001);
+    for (const Expected& e :
+         {Expected{"shared", 0x1.f7456789abcdep+4, 0x1.be6471966bc7ap+5},
+          Expected{"cat-only", 0x1.1d159e26af37dp+2, 0x1.cb04fb81b24c7p+2},
+          Expected{"db-only", 0x1.40a3d70a3d70bp+2, 0x1.404189374bc6ap+3},
+          Expected{"never-seen", 0x1.47ae147ae147bp-7,
+                   0x1.0624dd2f1a9fcp-7}}) {
+      const summary::WordStats stats = shrunk.Stats(e.word);
+      EXPECT_EQ(stats.df, e.df) << e.word;
+      EXPECT_EQ(stats.ctf, e.ctf) << e.word;
+    }
+  }
+}
+
 // -------------------------------------------------------- FitMixtureWeights
 
 TEST(FitMixtureWeightsTest, LambdasFormADistribution) {

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -172,6 +173,82 @@ TEST_F(ScorersTest, LmWithoutGlobalSummary) {
   EXPECT_EQ(lm.DefaultScore(q, health_, ctx), 0.0);
 }
 
+// ------------------------------------------------------ scoring kernel --
+
+TEST_F(ScorersTest, ScoreIsTheKernelOverSummaryStats) {
+  // Score looks up each position's term in the summary and hands the
+  // statistics to ScoreFromStats: the two agree bit for bit, for seen,
+  // unseen and repeated terms and the empty query.
+  const BglossScorer bgloss;
+  const CoriScorer cori;
+  const LmScorer lm;
+  const Query queries[] = {Query{{"blood", "nonexistent", "blood"}},
+                           Query{{"algorithm", "hypertension"}},
+                           Query{{"blood"}}, Query{}};
+  const summary::SummaryView* dbs[] = {&health_, &cs_, &global_};
+  for (const ScoringFunction* s :
+       std::vector<const ScoringFunction*>{&bgloss, &cori, &lm}) {
+    for (const Query& q : queries) {
+      PreparedFor(q);
+      for (const summary::SummaryView* db : dbs) {
+        std::vector<summary::WordStats> stats;
+        for (const std::string& w : q.terms) stats.push_back(db->Stats(w));
+        EXPECT_EQ(s->Score(q, *db, context_),
+                  s->ScoreFromStats(q, *db, stats, context_))
+            << s->name() << " |q| " << q.terms.size();
+      }
+    }
+  }
+}
+
+TEST_F(ScorersTest, LmTableFromTermStatsMatchesRecordedValues) {
+  // LM scales the term's token frequency from the statistics it is given
+  // instead of probing the summary. Fed db.Stats of each term, its table
+  // reproduces the values it produced by probing, recorded here as hex
+  // literals, over a seen, an unseen and a cross-database word.
+  const LmScorer lm(0.5);
+  const Query q{{"blood", "nonexistent", "algorithm"}};
+  PreparedFor(q);
+  const std::array<std::array<double, 7>, 3> health_rows = {{
+      {0x1.55a883982fc39p-3, 0x1.563a264bf4997p-3, 0x1.57149a599bda5p-3,
+       0x1.5aeba4970c7e3p-3, 0x1.d57eec76c28c8p-2, 0x1.556a20e60bf0ep-1,
+       0x1.556a20e60bf0ep-1},
+      {0x0p+0, 0x1.5d867c3ece2a6p-13, 0x1.b4e81b4e81b4fp-12,
+       0x1.94237fa89e60fp-10, 0x0p+0, 0x1.aaaaaaaaaaaabp-2, 0x1p-1},
+      {0x1.b6a5f48be14b7p-3, 0x1.b6fd562af0ffp-3, 0x1.b7806899888c5p-3,
+       0x1.b9ce3b8b32883p-3, 0x1.b6a5f48be14b7p-3, 0x1.42fed2784da83p-1,
+       0x1.6da97d22f852ep-1},
+  }};
+  const std::array<std::array<double, 7>, 3> cs_rows = {{
+      {0x1.55a883982fc39p-3, 0x1.561ce4a721ba6p-3, 0x1.56cb763d8cac9p-3,
+       0x1.59dd05626dee7p-3, 0x1.56cb763d8cac9p-3, 0x1.c6f53748d3682p-2,
+       0x1.556a20e60bf0ep-1},
+      {0x0p+0, 0x1.d1843bc7db2d5p-13, 0x1.22f2a55ce8fc5p-11,
+       0x1.0d20728f8ab63p-9, 0x0p+0, 0x1.1c20f57cbb866p-2, 0x1p-1},
+      {0x1.b6a5f48be14b7p-3, 0x1.b80317b8b72fdp-3, 0x1.ba0ecc7bf8066p-3,
+       0x1.c34379ea9bccp-3, 0x1.6d60c079a118ap-1, 0x1.6da97d22f852ep-1,
+       0x1.6da97d22f852ep-1},
+  }};
+  const std::pair<const summary::ContentSummary*,
+                  const std::array<std::array<double, 7>, 3>*>
+      cases[] = {{&health_, &health_rows}, {&cs_, &cs_rows}};
+  for (const auto& [db, rows] : cases) {
+    const double n = db->num_documents();
+    for (size_t t = 0; t < q.terms.size(); ++t) {
+      const summary::WordStats stats = db->Stats(q.terms[t]);
+      const std::array<double, 7> dfs = {0.0, 0.4, 1.0, 3.7, stats.df, n,
+                                         2.0 * n};
+      std::array<double, 7> out{};
+      lm.TermContributionTable(q, t, *db, stats, context_, dfs.data(),
+                               dfs.size(), out.data());
+      for (size_t g = 0; g < out.size(); ++g) {
+        EXPECT_EQ(out[g], (*rows)[t][g])
+            << "|D| " << n << " term " << t << " point " << g;
+      }
+    }
+  }
+}
+
 // --------------------------------------------------------- per-term form --
 //
 // The adaptive score moments (core/adaptive.cc) rest on the two contracts
@@ -220,8 +297,8 @@ TEST_F(DeltaProtocolTest, TableFoldMatchesScoreBitwise) {
               distinct.begin());
           if (slot[i] == distinct.size()) distinct.push_back(w);
           dfs[i] = {0.0, 0.4, 1.0, 3.7, db->DocFrequency(w), n, 2.0 * n};
-          s->TermContributionTable(q, i, *db, context_, dfs[i].data(),
-                                   kPoints, rows[i].data());
+          s->TermContributionTable(q, i, *db, db->Stats(w), context_,
+                                   dfs[i].data(), kPoints, rows[i].data());
         }
         for (size_t g = 0; g < kPoints; ++g) {
           std::unordered_map<std::string, double> overrides;

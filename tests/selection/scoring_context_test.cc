@@ -40,8 +40,8 @@ TEST(ScoringContextDeathTest, CoriAbortsOnAContextPreparedForAShorterQuery) {
                "terms");
   const double df = 5.0;
   double belief = 0.0;
-  EXPECT_DEATH(cori.TermContributionTable(Query{{"x", "y"}}, 1, a, ctx, &df,
-                                          1, &belief),
+  EXPECT_DEATH(cori.TermContributionTable(Query{{"x", "y"}}, 1, a,
+                                          a.Stats("y"), ctx, &df, 1, &belief),
                "CORI scored a 2-term query");
 }
 
@@ -62,8 +62,8 @@ TEST(ScoringContextDeathTest, LmAbortsOnAContextPreparedForAShorterQuery) {
                "LM scored a 2-term query");
   const double df = 5.0;
   double factor = 0.0;
-  EXPECT_DEATH(lm.TermContributionTable(Query{{"x", "y"}}, 1, a, ctx, &df, 1,
-                                        &factor),
+  EXPECT_DEATH(lm.TermContributionTable(Query{{"x", "y"}}, 1, a,
+                                        a.Stats("y"), ctx, &df, 1, &factor),
                "LM scored a 2-term query");
 }
 
@@ -293,10 +293,11 @@ TEST_F(PrepareContextTest, EveryScorerScoresAsAfterTheFullFill) {
         for (size_t i = 0; i < query_.terms.size(); ++i) {
           double from_prepared[kPoints];
           double from_full[kPoints];
-          scorer->TermContributionTable(query_, i, *db, prepared, dfs,
+          const summary::WordStats stats = db->Stats(query_.terms[i]);
+          scorer->TermContributionTable(query_, i, *db, stats, prepared, dfs,
                                         kPoints, from_prepared);
-          scorer->TermContributionTable(query_, i, *db, full, dfs, kPoints,
-                                        from_full);
+          scorer->TermContributionTable(query_, i, *db, stats, full, dfs,
+                                        kPoints, from_full);
           for (size_t g = 0; g < kPoints; ++g) {
             EXPECT_EQ(Bits(from_prepared[g]), Bits(from_full[g]))
                 << scorer->name() << " term " << i << " point " << g;

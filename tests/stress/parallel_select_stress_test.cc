@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "fedsearch/core/metasearcher.h"
 #include "fedsearch/sampling/qbs_sampler.h"
+#include "fedsearch/selection/bgloss.h"
 #include "fedsearch/selection/cori.h"
 #include "fedsearch/selection/lm.h"
 #include "fedsearch/util/metrics.h"
@@ -214,6 +217,61 @@ TEST_F(ParallelSelectStressTest, RacingFirstUniversalCallsBuildStatisticsOnce) {
   }
   for (std::thread& t : callers) t.join();
   EXPECT_EQ(builds.count() - builds_before, 1u);
+}
+
+TEST_F(ParallelSelectStressTest, RacingAdaptiveQueriesBuildEachWordRowOnce) {
+  // A fresh snapshot resolves every query word to a row built on the
+  // word's first use. Eight threads race overlapping adaptive queries on
+  // it from the start: every outcome matches the serial reference, and
+  // each distinct query word's row is built exactly once.
+  const corpus::Testbed& bed = SharedSmallTestbed();
+  const util::Counter& rows_built =
+      util::GlobalMetrics().counter("serving.word_rows_built");
+  selection::CoriScorer cori;
+  selection::BglossScorer bgloss;
+  selection::LmScorer lm;
+  const std::vector<const selection::ScoringFunction*> scorers = {
+      &cori, &bgloss, &lm};
+  std::vector<selection::Query> queries;
+  std::set<std::string> words;
+  for (const corpus::TestQuery& tq : bed.queries()) {
+    queries.push_back(selection::Query{bed.analyzer().Analyze(tq.text)});
+    words.insert(queries.back().terms.begin(), queries.back().terms.end());
+  }
+  std::vector<Metasearcher::SelectionOutcome> expected;
+  for (const selection::ScoringFunction* scorer : scorers) {
+    for (const selection::Query& q : queries) {
+      expected.push_back(reference_->SelectDatabases(
+          q, *scorer, SummaryMode::kAdaptiveShrinkage));
+    }
+  }
+
+  Federation fed = SampleFederation();
+  MetasearcherOptions pooled;
+  pooled.num_threads = 3;
+  const Metasearcher fresh(&bed.hierarchy(), std::move(fed.samples),
+                           std::move(fed.classifications), pooled);
+  const uint64_t built_before = rows_built.value();
+  constexpr size_t kCallers = 8;
+  std::atomic<size_t> waiting{kCallers};
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      // Release every caller at once so the first uses of each word race.
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      for (size_t k = 0; k < expected.size(); ++k) {
+        const size_t at = (k + c) % expected.size();
+        ExpectIdentical(
+            fresh.SelectDatabases(queries[at % queries.size()],
+                                  *scorers[at / queries.size()],
+                                  SummaryMode::kAdaptiveShrinkage),
+            expected[at]);
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(rows_built.value() - built_before, words.size());
 }
 
 }  // namespace

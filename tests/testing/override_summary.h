@@ -29,33 +29,25 @@ class OverrideSummary : public summary::SummaryView {
   double num_documents() const override { return base_->num_documents(); }
   double total_tokens() const override { return base_->total_tokens(); }
 
-  double DocFrequency(const std::string& word) const override {
+  summary::WordStats Stats(const std::string& word) const override {
+    const summary::WordStats base = base_->Stats(word);
     auto it = df_override_->find(word);
-    if (it == df_override_->end()) return base_->DocFrequency(word);
+    if (it == df_override_->end()) return base;
     FEDSEARCH_DCHECK(it->second >= 0.0 && std::isfinite(it->second))
         << " df override " << it->second << " for " << word;
-    return it->second;
-  }
-
-  double TokenFrequency(const std::string& word) const override {
-    auto it = df_override_->find(word);
-    if (it == df_override_->end()) return base_->TokenFrequency(word);
-    const double base_df = base_->DocFrequency(word);
-    if (base_df > 0.0) {
-      // Keep the average per-document term count of the word.
-      return it->second * base_->TokenFrequency(word) / base_df;
-    }
-    // Word unseen in the sample: assume one occurrence per containing doc.
-    return it->second;
+    // Keep the average per-document term count of the word; a word unseen
+    // in the sample gets one occurrence per containing doc.
+    return summary::WordStats{
+        it->second,
+        base.df > 0.0 ? it->second * base.ctf / base.df : it->second};
   }
 
   void ForEachWord(
       const std::function<void(const std::string&, const summary::WordStats&)>&
           fn) const override {
     // Overridden words are emitted with the overridden df and the
-    // proportionally-scaled ctf (the values DocFrequency/TokenFrequency
-    // report); overridden words absent from the base vocabulary are
-    // appended afterwards.
+    // proportionally-scaled ctf (the values Stats reports); overridden
+    // words absent from the base vocabulary are appended afterwards.
     base_->ForEachWord(
         [&](const std::string& word, const summary::WordStats& stats) {
           auto it = df_override_->find(word);
