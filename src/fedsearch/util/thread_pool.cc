@@ -66,14 +66,19 @@ void ThreadPool::WorkerLoop() {
   while (true) {
     {
       MutexLock lock(mu_);
-      while (!stop_ && generation_ == seen_generation) work_cv_.Wait(mu_);
+      // A loop the caller closed before this worker woke is skipped: its
+      // indices are all claimed, and its fn_ may already be gone.
+      while (!stop_ && (generation_ == seen_generation || !open_)) {
+        work_cv_.Wait(mu_);
+      }
       if (stop_) return;
       seen_generation = generation_;
+      ++active_workers_;
     }
     Drain(/*stealing_worker=*/true);
     {
       MutexLock lock(mu_);
-      if (--pending_workers_ == 0) done_cv_.NotifyAll();
+      if (--active_workers_ == 0) done_cv_.NotifyAll();
     }
   }
 }
@@ -102,13 +107,17 @@ void ThreadPool::ParallelFor(size_t count,
     fn_ = &fn;
     count_ = count;
     next_.store(0, std::memory_order_relaxed);
-    pending_workers_ = workers_.size();
+    open_ = true;
     ++generation_;
   }
   work_cv_.NotifyAll();
   Drain(/*stealing_worker=*/false);
+  // Every index is claimed. Close the loop, so that a worker still waking
+  // up skips it instead of being waited for, and wait only for the workers
+  // that joined to finish their last index.
   MutexLock lock(mu_);
-  while (pending_workers_ != 0) done_cv_.Wait(mu_);
+  open_ = false;
+  while (active_workers_ != 0) done_cv_.Wait(mu_);
   fn_ = nullptr;
   count_ = 0;
 }

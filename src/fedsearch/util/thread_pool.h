@@ -25,7 +25,14 @@ namespace fedsearch::util {
 //     park on a condition variable between loops and chase a shared atomic
 //     counter during one, so per-call overhead is two lock acquisitions,
 //     not one allocation per index.
-//  3. The calling thread participates, so ThreadPool(1) spawns no workers
+//  3. The caller never waits for a worker to wake up. A loop stays open to
+//     workers only until the caller has claimed its last index; a worker
+//     that wakes after that skips the loop. The caller waits only for the
+//     workers that joined, to finish the index each holds. A loop shorter
+//     than a worker's wake-up therefore costs the caller one notify, not
+//     the wake-up latency of a parked thread, which varies with the
+//     machine's load far more than the loop itself does.
+//  4. The calling thread participates, so ThreadPool(1) spawns no workers
 //     and ParallelFor degenerates to the plain serial loop.
 //
 // Concurrent ParallelFor calls from distinct threads are safe: a run lock
@@ -80,15 +87,20 @@ class ThreadPool {
   Mutex mu_;
   CondVar work_cv_;
   CondVar done_cv_;
-  // Current generation's loop, guarded by mu_ for publication; workers read
-  // them lock-free in Drain only after observing the generation bump under
+  // Current generation's loop, guarded by mu_ for publication; a worker
+  // reads them lock-free in Drain only after joining the open loop under
   // mu_, and the publishing ParallelFor holds run_mu_ until every worker
-  // reported done — so the values are frozen for the whole window in which
-  // they are read (the handshake PR 3's race fix pinned).
+  // that joined reported done and no other can join — so the values are
+  // frozen for the whole window in which they are read (the handshake
+  // tests/stress/thread_pool_stress_test.cc pins).
   const std::function<void(size_t)>* fn_ FEDSEARCH_GUARDED_BY(mu_) = nullptr;
   size_t count_ FEDSEARCH_GUARDED_BY(mu_) = 0;
   std::atomic<size_t> next_{0};
-  size_t pending_workers_ FEDSEARCH_GUARDED_BY(mu_) = 0;
+  // Whether workers may still join the current loop: from its publication
+  // until the caller has claimed every index.
+  bool open_ FEDSEARCH_GUARDED_BY(mu_) = false;
+  // Workers that joined the current loop and have not finished draining.
+  size_t active_workers_ FEDSEARCH_GUARDED_BY(mu_) = 0;
   uint64_t generation_ FEDSEARCH_GUARDED_BY(mu_) = 0;
   bool stop_ FEDSEARCH_GUARDED_BY(mu_) = false;
 };

@@ -86,6 +86,22 @@ TEST(ThreadPoolStressTest, RapidConstructDestroyShutdownHandshake) {
   }
 }
 
+TEST(ThreadPoolStressTest, LateWorkersSkipClosedLoops) {
+  // Loops this short usually end before a parked worker wakes: the caller
+  // claims every index, closes the loop and returns without the worker.
+  // A worker that wakes afterwards must skip that loop. Each loop's
+  // callable and slots die with its iteration, so a late worker that ran
+  // one would touch freed memory (ASan) or race the next iteration (TSan).
+  ThreadPool pool(3);
+  for (size_t round = 1; round <= 2000; ++round) {
+    std::vector<size_t> slots(2, 0);
+    pool.ParallelFor(slots.size(), [&slots, round](size_t i) {
+      slots[i] += round;
+    });
+    for (size_t s : slots) ASSERT_EQ(s, round);
+  }
+}
+
 TEST(ThreadPoolStressTest, ManyGenerationsSingleCaller) {
   // Generation-counter turnover: a worker that misses a notify must still
   // observe the bumped generation on the next wait predicate evaluation.
